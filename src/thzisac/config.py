@@ -50,7 +50,6 @@ class ArraySpec:
     n_rf_tx: int = 4
     n_rf_rx: int = 4
     n_streams: int = 4
-    n_closed_tx: int = 16
     n_closed_rx: int = 4
 
     def tx_geom(self) -> UpaGeometry:
@@ -59,10 +58,9 @@ class ArraySpec:
     def rx_geom(self) -> UpaGeometry:
         return UpaGeometry(self.w_rx, self.l_rx)
 
-    def tx_switch(self, n_closed: int = None) -> SwitchMatrix:
-        n_c = self.n_closed_tx if n_closed is None else n_closed
+    def tx_switch(self, n_closed: int) -> SwitchMatrix:
         k_t = self.tx_geom().n_elements // self.n_rf_tx
-        return default_switch_pattern(self.n_rf_tx, n_c, k_t)
+        return default_switch_pattern(self.n_rf_tx, n_closed, k_t)
 
     def rx_switch(self) -> SwitchMatrix:
         k_r = self.rx_geom().n_elements // self.n_rf_rx
@@ -138,7 +136,6 @@ class IsiDemoSpec:
         TargetSpec(range_m=45.0, velocity_mps=5.0, snr_db=-10.0)])
     max_range_m: float = 55.0
     max_speed_mps: float = 30.0
-    exclusion_m: float = 1.0
 
 
 @dataclass
@@ -153,7 +150,6 @@ class IciDemoSpec:
         TargetSpec(range_m=30.0, velocity_mps=50.0, snr_db=20.0)])
     max_range_m: float = 40.0
     max_speed_mps: float = 55.0
-    exclusion_m: float = 1.0
 
 
 @dataclass
@@ -185,7 +181,7 @@ def _build(cls, data, path: str):
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
     kwargs = {}
-    for name in known:
+    for name, spec in known.items():
         if name not in data:
             continue
         value = data[name]
@@ -195,30 +191,15 @@ def _build(cls, data, path: str):
                 raise ConfigError(f"{here}: expected a list")
             kwargs[name] = [_build(_LIST_FIELDS[name], v, f"{here}[{i}]")
                             for i, v in enumerate(value)]
+        elif dataclasses.is_dataclass(spec.default_factory):
+            kwargs[name] = _build(spec.default_factory, value, here)
         else:
             kwargs[name] = value
     return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
-    data = data or {}
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be a mapping")
-    unknown = [k for k in data if k not in known]
-    if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
-    sections = {"frame": FrameSpec, "arrays": ArraySpec, "comm": CommSpec,
-                "scene": SceneSpec, "tradeoff": TradeoffSpec, "se_sweep": SeSweepSpec,
-                "beam_scan": BeamScanSpec, "mc_rmse": McRmseSpec,
-                "isi_demo": IsiDemoSpec, "ici_demo": IciDemoSpec}
-    kwargs = {}
-    for key, value in data.items():
-        if key in sections:
-            kwargs[key] = _build(sections[key], value, key)
-        else:
-            kwargs[key] = value
-    cfg = ExperimentConfig(**kwargs)
+    cfg = _build(ExperimentConfig, data, "")
     _validate(cfg)
     return cfg
 
@@ -232,10 +213,17 @@ def _validate(cfg: ExperimentConfig):
         problems.append("arrays: receive elements not divisible by n_rf_rx")
     if arr.n_streams > arr.n_rf_tx:
         problems.append("arrays: n_streams exceeds n_rf_tx")
-    if not arr.n_rf_tx <= arr.n_closed_tx <= arr.n_rf_tx ** 2:
-        problems.append("arrays: n_closed_tx outside [n_rf, n_rf^2]")
+    for name, counts in (("tradeoff", cfg.tradeoff.structures),
+                         ("se_sweep", cfg.se_sweep.structures),
+                         ("beam_scan", [cfg.beam_scan.n_closed]),
+                         ("mc_rmse", [cfg.mc_rmse.n_closed])):
+        for n_c in counts:
+            if not arr.n_rf_tx <= n_c <= arr.n_rf_tx ** 2:
+                problems.append(f"{name}: closed-switch count {n_c} outside [n_rf_tx, n_rf_tx^2]")
     if cfg.trials < 1:
         problems.append("trials must be >= 1")
+    if cfg.seed < 0:
+        problems.append("seed must be >= 0")
     for name, etas in (("tradeoff", cfg.tradeoff.eta_grid), ("se_sweep", cfg.se_sweep.etas),
                        ("beam_scan", [cfg.beam_scan.eta]), ("mc_rmse", [cfg.mc_rmse.eta])):
         for eta in etas:
@@ -246,16 +234,14 @@ def _validate(cfg: ExperimentConfig):
 
 
 def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
-    """Load YAML config (defaults when path is None) and apply CLI overrides."""
+    """Load YAML config (defaults when path is None) with CLI overrides, then validate."""
     data = {}
     if path is not None:
         with open(path) as fh:
             data = yaml.safe_load(fh) or {}
-    cfg = config_from_dict(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    if isinstance(data, dict):
+        data.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    return config_from_dict(data)
 
 
 def config_digest(cfg: ExperimentConfig) -> str:

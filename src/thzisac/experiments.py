@@ -66,12 +66,19 @@ def _slot_nearest(codebook, azimuth_rad: float) -> int:
     return int(np.argmin(np.abs(codebook.direction_angles - azimuth_rad))) + 1
 
 
+def _comm_channel(cfg: ExperimentConfig, tx_geom, rx_geom, frame, rng):
+    comm = cfg.comm
+    return ch.sample_comm_channel(tx_geom, rx_geom, frame, rng, comm.num_nlos,
+                                  comm.nlos_extra_loss_db,
+                                  np.deg2rad(comm.path_spread_deg), comm.los_range_m)
+
+
 def _design_precoders(cfg: ExperimentConfig, comm_opt, codebook, q: int, eta: float,
                       n_closed: int, algorithm: str, rng, comm_analog=None):
     arr = cfg.arrays
     switch = arr.tx_switch(n_closed)
-    sense_opt = precoding.optimal_sensing_precoder(codebook, q, arr.n_streams)
     if algorithm == "vec":
+        sense_opt = precoding.optimal_sensing_precoder(codebook, q, arr.n_streams)
         targets = precoding.PrecodingTargets(comm_opt, sense_opt, eta)
         return precoding.vec_hybrid_precoding(targets, switch, rng=rng)
     if algorithm == "sca":
@@ -105,10 +112,7 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
 
     def one_realization(r):
         rng = child_rng(cfg.seed, "tradeoff", r)
-        chan = ch.sample_comm_channel(tx_geom, rx_geom, frame, rng,
-                                      cfg.comm.num_nlos, cfg.comm.nlos_extra_loss_db,
-                                      np.deg2rad(cfg.comm.path_spread_deg),
-                                      cfg.comm.los_range_m)
+        chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
         comm_opt, comb_opt, _ = precoding.optimal_fully_digital(chan, ns)
         rows = {}
         rows[("digital", 0, 1.0)] = (
@@ -171,10 +175,7 @@ def run_se_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
 
     def one_realization(r):
         rng = child_rng(cfg.seed, "se-sweep", r)
-        chan = ch.sample_comm_channel(tx_geom, rx_geom, frame, rng,
-                                      cfg.comm.num_nlos, cfg.comm.nlos_extra_loss_db,
-                                      np.deg2rad(cfg.comm.path_spread_deg),
-                                      cfg.comm.los_range_m)
+        chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
         comm_opt, comb_opt, _ = precoding.optimal_fully_digital(chan, ns)
         rows = {}
         for i_snr, snr in enumerate(spec.snr_grid_db):
@@ -225,10 +226,7 @@ def run_beam_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict
     spec = cfg.beam_scan
     ns = cfg.arrays.n_streams
     rng = child_rng(cfg.seed, "beam-scan", 0)
-    chan = ch.sample_comm_channel(tx_geom, rx_geom, frame, rng,
-                                  cfg.comm.num_nlos, cfg.comm.nlos_extra_loss_db,
-                                  np.deg2rad(cfg.comm.path_spread_deg),
-                                  cfg.comm.los_range_m)
+    chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
     comm_opt, _, _ = precoding.optimal_fully_digital(chan, ns)
     angles_deg = np.arange(-90.0, 90.0 + spec.angle_step_deg / 2, spec.angle_step_deg)
     angles = np.deg2rad(angles_deg)
@@ -267,12 +265,12 @@ def run_beam_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict
 # Monte-Carlo RMSE
 # ---------------------------------------------------------------------------
 
-def _target_tx_gains(targets, tx_eff, tx_geom, ns):
+def _target_tx_gains(targets, precoders, tx_geom, ns):
     """Average transmit power toward each target under the designed beams."""
     gains = []
     for tgt in targets:
         a_t = sensing_rx.steering_upa(tgt.azimuth, tgt.elevation, tx_geom)
-        g = np.einsum("t,mts->ms", a_t, tx_eff)
+        g = precoders.beam_response(a_t)
         gains.append(float(np.mean(np.sum(np.abs(g) ** 2, axis=1)) / ns))
     return np.array(gains)
 
@@ -286,10 +284,7 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     codebook = dft_codebook(tx_geom)
     ns = arr.n_streams
     rng0 = child_rng(cfg.seed, "mc-rmse", 0)
-    chan = ch.sample_comm_channel(tx_geom, rx_geom, frame, rng0,
-                                  cfg.comm.num_nlos, cfg.comm.nlos_extra_loss_db,
-                                  np.deg2rad(cfg.comm.path_spread_deg),
-                                  cfg.comm.los_range_m)
+    chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng0)
     comm_opt, _, _ = precoding.optimal_fully_digital(chan, ns)
 
     # group targets by the slot whose scan illuminates them
@@ -310,12 +305,11 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
         errors = []
         for q, specs in sorted(slot_map.items()):
             pre = precoders[q]
-            tx_eff = pre.tx_matrices()
             targets = [ch.SensingTarget(range_m=t.range_m, velocity_mps=t.velocity_mps,
                                         azimuth=np.deg2rad(t.azimuth_deg),
                                         effective_snr_db=snr_db) for t in specs]
             scene = ch.SensingScene(targets=targets, noise_power=cfg.scene.noise_power)
-            gains = _target_tx_gains(targets, tx_eff, tx_geom, ns)
+            gains = _target_tx_gains(targets, pre, tx_geom, ns)
             ch.resolve_coeffs(scene, gains, tx_geom.n_elements, rng)
             symbols = generate_symbols(frame, ns, rng)
             search = sensing_window(q, tx_geom).mirrored()

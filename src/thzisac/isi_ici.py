@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SPEED_OF_LIGHT, ModelMismatchWarning, SensingScene, awgn
+from .channel import (SPEED_OF_LIGHT, ModelMismatchWarning, SensingScene, awgn,
+                      range_of_delay, velocity_of_doppler)
 from .sensing_rx import DelayDopplerEstimate, MlProfile, golden_section_max, gss_refine
 from .waveform import FrameConfig
 
@@ -94,6 +95,25 @@ class TxBaseband:
         return np.where(valid, vals, 0.0)
 
 
+def _delayed_samples(tau: float, x_cat: np.ndarray, frame: FrameConfig) -> np.ndarray:
+    """Time-domain samples (M, N) of the concatenated grids x_cat delayed by tau.
+
+    Samples m >= l come from symbol n-k, samples m < l from symbol n-k-1 with
+    the extra CP phase ramp (the CP-straddling branch).
+    """
+    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
+    dg = delay_geometry(tau, frame)
+    m_idx = np.arange(m_sc)
+    b1 = dg.b ** m_idx
+    cols = n_sym + np.arange(n_sym) - dg.k
+    s = np.fft.ifft(b1[:, None] * x_cat[:, cols], axis=0) * np.sqrt(m_sc)
+    if dg.l > 0:
+        b2 = b1 * np.exp(2j * np.pi * m_idx * frame.m_cp / m_sc)
+        t2 = np.fft.ifft(b2[:, None] * x_cat[:, cols - 1], axis=0) * np.sqrt(m_sc)
+        s = np.where(m_idx[:, None] >= dg.l, s, t2)
+    return s
+
+
 def apply_channel_operator(tau: float, nu: float, pair: ExtendedTxPair,
                            frame: FrameConfig) -> np.ndarray:
     """Frequency-domain response of a unit-coefficient target at (tau, nu).
@@ -103,17 +123,8 @@ def apply_channel_operator(tau: float, nu: float, pair: ExtendedTxPair,
     the true receive instants, then re-DFT'd per symbol. Linear in the grids.
     """
     m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    dg = delay_geometry(tau, frame)
     m_idx = np.arange(m_sc)
-    b1 = dg.b ** m_idx
-    x_cat = pair.concat()
-    cols = n_sym + np.arange(n_sym) - dg.k
-    t1 = np.fft.ifft(b1[:, None] * x_cat[:, cols], axis=0) * np.sqrt(m_sc)
-    s = t1
-    if dg.l > 0:
-        b2 = b1 * np.exp(2j * np.pi * m_idx * frame.m_cp / m_sc)
-        t2 = np.fft.ifft(b2[:, None] * x_cat[:, cols - 1], axis=0) * np.sqrt(m_sc)
-        s = np.where(m_idx[:, None] >= dg.l, t1, t2)
+    s = _delayed_samples(tau, pair.concat(), frame)
     t_sample = (np.arange(n_sym)[None, :] * frame.t_total + frame.t_cp
                 + m_idx[:, None] / m_sc * frame.t_symbol)
     r = s * np.exp(2j * np.pi * nu * t_sample)
@@ -196,14 +207,7 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     phase_m = np.exp(-2j * np.pi * np.outer(m_idx / m_sc * frame.t_symbol + frame.t_cp,
                                             nu_grid))
     for i, tau in enumerate(tau_grid):
-        dg = delay_geometry(float(tau), frame)
-        b1 = dg.b ** m_idx
-        cols = n_sym + np.arange(n_sym) - dg.k
-        s = np.fft.ifft(b1[:, None] * x_cat[:, cols], axis=0) * np.sqrt(m_sc)
-        if dg.l > 0:
-            b2 = b1 * np.exp(2j * np.pi * m_idx * frame.m_cp / m_sc)
-            t2 = np.fft.ifft(b2[:, None] * x_cat[:, cols - 1], axis=0) * np.sqrt(m_sc)
-            s = np.where(m_idx[:, None] >= dg.l, s, t2)
+        s = _delayed_samples(float(tau), x_cat, frame)
         den = float(np.sum(np.abs(s) ** 2))
         if den <= 0.0:
             continue
@@ -212,6 +216,23 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
         corr = np.sum(phase_m * g[:, np.mod(j_nodes, 2 * n_sym)], axis=0)
         out[i] = np.abs(corr) ** 2 / den
     return out
+
+
+def _half_bin_grid(frame: FrameConfig, tau_max: float = None, nu_max: float = None):
+    """Coarse half-bin lattice of the tackled scan.
+
+    Delay nodes step T/(2M) over [0, min(tau_max, T_slot)], Doppler nodes
+    1/(2*N*T_o) over [-nu_max, nu_max]; the defaults are the full slot and half
+    the symbol rate. Returns (d_tau, d_nu, tau_grid, j_max, nu_grid).
+    """
+    tau_max = frame.t_slot if tau_max is None else min(tau_max, frame.t_slot)
+    nu_max = 1.0 / (2 * frame.t_total) if nu_max is None else nu_max
+    d_tau = frame.t_symbol / (2 * frame.m_subcarriers)
+    d_nu = 1.0 / (2 * frame.n_symbols * frame.t_total)
+    tau_grid = np.arange(0.0, tau_max + d_tau / 2, d_tau)
+    j_max = int(np.floor(nu_max / d_nu + 1e-9))
+    nu_grid = np.arange(-j_max, j_max + 1) * d_nu
+    return d_tau, d_nu, tau_grid, j_max, nu_grid
 
 
 def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
@@ -224,15 +245,7 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     refinement one coarse step around the best node. Returns
     (DelayDopplerEstimate, alpha_hat).
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    tau_max = frame.t_slot if tau_max is None else min(tau_max, frame.t_slot)
-    nu_max = 1.0 / (2 * frame.t_total) if nu_max is None else nu_max
-    d_tau = frame.t_symbol / (2 * m_sc)
-    d_nu = 1.0 / (2 * n_sym * frame.t_total)
-    tau_grid = np.arange(0.0, tau_max + d_tau / 2, d_tau)
-    j_max = int(np.floor(nu_max / d_nu + 1e-9))
-    nu_grid = np.arange(-j_max, j_max + 1) * d_nu
-
+    d_tau, d_nu, tau_grid, j_max, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
     if not np.any(prof > 0):
         raise ValueError("no detectable target: flat matched-filter objective")
@@ -256,9 +269,8 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     _, alpha = objective(tau, nu)
     est = DelayDopplerEstimate(
         tau_hat=tau, nu_hat=nu,
-        range_hat=tau * SPEED_OF_LIGHT / 2.0,
-        velocity_hat=nu * SPEED_OF_LIGHT / (2.0 * frame.fc),
-        coarse_bin=(i, j - j_max), peak_value=best, refined_ok=True)
+        range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),
+        coarse_bin=(i, j - j_max), peak_value=best)
     return est, alpha
 
 
@@ -269,12 +281,7 @@ def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
     Returns (tau_nodes, profile) on the coarse half-bin delay lattice; used to
     render range profiles next to the unaware ones.
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    d_tau = frame.t_symbol / (2 * m_sc)
-    d_nu = 1.0 / (2 * n_sym * frame.t_total)
-    tau_grid = np.arange(0.0, min(tau_max, frame.t_slot) + d_tau / 2, d_tau)
-    j_max = int(np.floor(nu_max / d_nu + 1e-9))
-    nu_grid = np.arange(-j_max, j_max + 1) * d_nu
+    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
     return tau_grid, prof.max(axis=1)
 
@@ -311,10 +318,7 @@ def unaware_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
     Returns (tau_bins, profile) with profile shaped (n_bins, N).
     """
     m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    y_grid = y.reshape(m_sc, n_sym, order="F")
-    prof = MlProfile(y_grid, pair.x_curr, frame)
-    g = np.fft.fft(np.fft.ifft(prof.z, axis=0) * np.sqrt(m_sc), axis=1) / np.sqrt(n_sym)
-    base = m_sc * n_sym * np.abs(g) ** 2
+    base = MlProfile(y.reshape(m_sc, n_sym, order="F"), pair.x_curr, frame).grid()
     d_tau = frame.t_symbol / m_sc
     n_bins = int(np.floor(tau_max / d_tau)) + 1
     tiles = int(np.ceil(n_bins / m_sc))

@@ -92,6 +92,10 @@ class PrecoderSet:
         """All effective precoders stacked (M, nt, ns)."""
         return np.einsum("tr,mrs->mts", self.analog, self.digital)
 
+    def beam_response(self, a_t: np.ndarray) -> np.ndarray:
+        """Per-subcarrier stream gains a_t^T F_RF F_BB[m] toward steering a_t, (M, ns)."""
+        return (a_t @ self.analog) @ self.digital
+
 
 # ---------------------------------------------------------------------------
 # Reference precoders
@@ -235,24 +239,33 @@ def _random_phase_analog(switch: SwitchMatrix, rng: np.random.Generator) -> np.n
     return np.where(mask, phases, 0.0)
 
 
-def finalize_digital(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
-    """Least-squares digital precoders against the weighted target, power-normalized.
+def _normalized_least_squares(f_rf: np.ndarray, weighted) -> np.ndarray:
+    """Digital precoders F_BB[m] = sqrt(ns) F_RF^+ W[m] / ||F_RF F_RF^+ W[m]||_F.
 
-    F_BB[m] = sqrt(ns) * F_RF^+ W[m] / ||F_RF F_RF^+ W[m]||_F with
-    W[m] = eta F_c[m] + (1-eta) F_s, so ||F_RF F_BB[m]||_F^2 = ns exactly.
+    ``weighted`` yields the already-weighted (nt, ns) target W[m] of each
+    subcarrier in turn, so no (M, nt, ns) temporary is formed. The result,
+    (M, n_rf, ns), meets ||F_RF F_BB[m]||_F^2 = ns exactly.
     """
-    eta = targets.eta
-    ns = targets.comm_opt.shape[2]
     pinv = np.linalg.pinv(f_rf)
-    out = np.empty((targets.comm_opt.shape[0], f_rf.shape[1], ns), dtype=complex)
-    for m in range(out.shape[0]):
-        w = eta * targets.comm_opt[m] + (1.0 - eta) * targets.sense_opt
+    out = []
+    for w in weighted:
         f_ls = pinv @ w
         norm = np.linalg.norm(f_rf @ f_ls)
         if norm == 0:
             raise ValueError("analog precoder annihilates the design target")
-        out[m] = np.sqrt(ns) / norm * f_ls
-    return out
+        out.append(np.sqrt(w.shape[1]) / norm * f_ls)
+    return np.stack(out)
+
+
+def finalize_digital(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
+    """Least-squares digital precoders against the weighted target, power-normalized.
+
+    The VEC target is W[m] = eta F_c[m] + (1-eta) F_s, the weighting of the
+    alternating objective.
+    """
+    eta = targets.eta
+    return _normalized_least_squares(
+        f_rf, (eta * c + (1.0 - eta) * targets.sense_opt for c in targets.comm_opt))
 
 
 def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
@@ -324,14 +337,12 @@ def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int
     for _, i, j in errs[:k_s]:
         f_rf[i * k_t:(i + 1) * k_t, j] = scan_phases[i * k_t:(i + 1) * k_t]
 
+    # SCA weights the amplitudes by sqrt(eta), sqrt(1-eta) and scales each
+    # subcarrier's target to power ns before the least-squares fit
     sense_opt = optimal_sensing_precoder(codebook, q, ns)
-    pinv = np.linalg.pinv(f_rf)
-    digital = np.empty((comm_opt.shape[0], switch.n_rf, ns), dtype=complex)
-    for m in range(comm_opt.shape[0]):
-        w = np.sqrt(eta) * comm_opt[m] + np.sqrt(1.0 - eta) * sense_opt
-        w *= np.sqrt(ns) / np.linalg.norm(w)
-        f_ls = pinv @ w
-        digital[m] = np.sqrt(ns) / np.linalg.norm(f_rf @ f_ls) * f_ls
+    weighted = (np.sqrt(eta) * c + np.sqrt(1.0 - eta) * sense_opt for c in comm_opt)
+    digital = _normalized_least_squares(
+        f_rf, (w * (np.sqrt(ns) / np.linalg.norm(w)) for w in weighted))
     return PrecoderSet(analog=f_rf, digital=digital, switch=switch, converged=True)
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (SPEED_OF_LIGHT, SensingScene, awgn, check_isi_ici_free)
+from .channel import (SensingScene, awgn, check_isi_ici_free, range_of_delay,
+                      velocity_of_doppler)
 from .geometry import AngularWindow, UpaGeometry, steering_many, steering_upa
 from .precoding import PrecoderSet, SwitchMatrix
 from .waveform import FrameConfig
@@ -85,7 +86,6 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
     ns, m_sc, n_sym = symbols.shape
     scale = (np.sqrt(tx_geom.n_elements * rx_geom.n_elements / scene.n_targets)
              if scene.targets else 0.0)
-    tx_eff = precoders.tx_matrices()  # (M, nt, ns)
     m_idx = np.arange(m_sc)
     t_sym = (q - 1) * frame.t_slot + np.arange(n_sym) * frame.t_total
     y3 = np.zeros((combiner.n_rf, m_sc, n_sym), dtype=complex)
@@ -95,7 +95,7 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
         a_r = steering_upa(tgt.azimuth, tgt.elevation, rx_geom)
         a_t = steering_upa(tgt.azimuth, tgt.elevation, tx_geom)
         c_p = combiner.matrix.conj().T @ a_r
-        g_p = np.einsum("t,mts->ms", a_t, tx_eff)
+        g_p = precoders.beam_response(a_t)
         xi = np.einsum("ms,smn->mn", g_p, symbols)
         phase = np.exp(-2j * np.pi * m_idx[:, None] * frame.delta_f * tgt.delay()) \
             * np.exp(2j * np.pi * t_sym[None, :] * tgt.doppler(frame.fc))
@@ -177,13 +177,6 @@ def _pick_peaks(angles: np.ndarray, spectrum: np.ndarray, den: np.ndarray,
     return np.array(sorted(peaks))
 
 
-def eigenvalue_gap_detector(eigenvalues: np.ndarray) -> int:
-    """Optional model-order guess: index of the largest ratio gap."""
-    ev = np.maximum(np.sort(eigenvalues)[::-1], 1e-300)
-    ratios = ev[:-1] / ev[1:]
-    return int(np.argmax(ratios)) + 1
-
-
 # ---------------------------------------------------------------------------
 # Delay-Doppler estimation
 # ---------------------------------------------------------------------------
@@ -196,7 +189,6 @@ class DelayDopplerEstimate:
     velocity_hat: float
     coarse_bin: tuple
     peak_value: float
-    refined_ok: bool = True
 
 
 def reconstruct_reference(theta: float, phi: float, combiner: ReceiveCombiner,
@@ -210,8 +202,7 @@ def reconstruct_reference(theta: float, phi: float, combiner: ReceiveCombiner,
     a_r = steering_upa(theta, phi, rx_geom)
     a_t = steering_upa(theta, phi, tx_geom)
     c = combiner.matrix.conj().T @ a_r
-    g = np.einsum("t,mts->ms", a_t, precoders.tx_matrices())
-    xi = np.einsum("ms,smn->mn", g, symbols)
+    xi = np.einsum("ms,smn->mn", precoders.beam_response(a_t), symbols)
     return c[:, None, None] * xi[None]
 
 
@@ -238,6 +229,15 @@ class MlProfile:
         psi_nu_c = np.exp(-2j * np.pi * n_idx * self.frame.t_total * nu)
         return float(np.abs(psi_tau_c @ self.z @ psi_nu_c) ** 2)
 
+    def grid(self) -> np.ndarray:
+        """The objective on the whole 2D-DFT grid, M*N*|FFT_n(IFFT_m(z))|^2, shape (M, N).
+
+        Entry [m0, j] is the objective at tau = m0/(M*delta_f), nu = j/(N*T_o).
+        """
+        m_sc, n_sym = self.z.shape
+        g = np.fft.fft(np.fft.ifft(self.z, axis=0) * np.sqrt(m_sc), axis=1) / np.sqrt(n_sym)
+        return m_sc * n_sym * np.abs(g) ** 2
+
 
 def ml_profile(y_blocks: np.ndarray, xhat_blocks: np.ndarray, tau: float, nu: float,
                frame: FrameConfig) -> float:
@@ -253,10 +253,8 @@ def sdft_coarse(y_blocks: np.ndarray, xhat_blocks: np.ndarray, frame: FrameConfi
     the direct objective at Doppler index j folded mod N, scaled to match
     ml_profile exactly.
     """
-    prof = MlProfile(y_blocks, xhat_blocks, frame)
-    m_sc, n_sym = prof.z.shape
-    g = np.fft.fft(np.fft.ifft(prof.z, axis=0) * np.sqrt(m_sc), axis=1) / np.sqrt(n_sym)
-    profile = m_sc * n_sym * np.abs(g) ** 2
+    profile = MlProfile(y_blocks, xhat_blocks, frame).grid()
+    n_sym = profile.shape[1]
     flat = int(np.argmax(profile))
     m0, j = divmod(flat, n_sym)
     n0 = j - n_sym if j >= (n_sym + 1) // 2 else j
@@ -312,9 +310,8 @@ def gss_refine(profile, coarse_bin: tuple, frame: FrameConfig, rounds: int = 3,
     # below the coarse bin; a non-unimodal region degrades to the best found
     return DelayDopplerEstimate(
         tau_hat=tau, nu_hat=nu,
-        range_hat=tau * SPEED_OF_LIGHT / 2.0,
-        velocity_hat=nu * SPEED_OF_LIGHT / (2.0 * frame.fc),
-        coarse_bin=(m0, n0), peak_value=best, refined_ok=True)
+        range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),
+        coarse_bin=(m0, n0), peak_value=best)
 
 
 def estimate_slot(block: ObservationBlock, combiner: ReceiveCombiner,

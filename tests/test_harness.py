@@ -39,6 +39,10 @@ def test_validation_errors():
         config_from_dict({"arrays": {"n_streams": 8}})
     with pytest.raises(ConfigError, match="trials"):
         config_from_dict({"trials": 0})
+    with pytest.raises(ConfigError, match="beam_scan: closed-switch count 2"):
+        config_from_dict({"beam_scan": {"n_closed": 2}})
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict({"seed": -1})
 
 
 def test_yaml_round_trip(tmp_path):
@@ -76,7 +80,6 @@ def _tiny_config(**kw):
     cfg = ExperimentConfig(seed=11, trials=2)
     cfg.arrays.w_tx = cfg.arrays.l_tx = 8     # 64 elements
     cfg.arrays.w_rx = cfg.arrays.l_rx = 8
-    cfg.arrays.n_closed_tx = 8
     cfg.frame.m_subcarriers = 16
     cfg.frame.n_symbols = 8
     # beams are 4x wider at W=8 than at the full aperture: keep the comm paths
@@ -186,11 +189,20 @@ def test_cli_config_error_exit_two(tmp_path):
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
 
 
+@pytest.mark.parametrize("argv", [["mc-rmse", "--trials", "0"],
+                                  ["tradeoff", "--trials", "0"],
+                                  ["beam-scan", "--seed", "-1"],
+                                  ["selftest", "--seed", "-1"]])
+def test_cli_bad_override_exit_two(argv, tmp_path, capsys):
+    assert cli_main(argv + ["--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_runs_experiment(tmp_path):
     cfg_path = tmp_path / "tiny.yaml"
     cfg_path.write_text(yaml.safe_dump({
         "trials": 1,
-        "arrays": {"w_tx": 8, "l_tx": 8, "w_rx": 8, "l_rx": 8, "n_closed_tx": 4},
+        "arrays": {"w_tx": 8, "l_tx": 8, "w_rx": 8, "l_rx": 8},
         "frame": {"m_subcarriers": 16, "n_symbols": 8},
         "beam_scan": {"slots": [4], "angle_step_deg": 1.0},
     }))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from thzisac.channel import SensingScene, SensingTarget
-from thzisac.isi_ici import (ExtendedTxPair, TxBaseband, apply_channel_operator,
-                             cp_limited_range, delay_geometry, hadamard_model_vec,
-                             isi_ici_rx, matched_objective, resolve_collapsed_coeffs,
-                             successive_cancellation, tackled_estimate,
-                             unaware_estimate_peaks, unaware_successive_cancellation)
+from thzisac.isi_ici import (ExtendedTxPair, TxBaseband, _coarse_scan, _half_bin_grid,
+                             apply_channel_operator, cp_limited_range, delay_geometry,
+                             hadamard_model_vec, isi_ici_rx, matched_objective,
+                             resolve_collapsed_coeffs, successive_cancellation,
+                             tackled_estimate, unaware_estimate_peaks,
+                             unaware_successive_cancellation)
 from thzisac.waveform import FrameConfig, ofdm_modulate
 
 from oracles import bruteforce_rx
@@ -172,6 +173,22 @@ def test_tackled_noiseless_beyond_cp(frame, rng):
     assert abs(est.tau_hat - tau) < 1e-4 * d_tau
     assert abs(est.nu_hat - nu) < 1e-3 / (8 * frame.t_total)
     assert abs(a_hat - alpha) < 1e-4
+
+
+def test_coarse_scan_matches_matched_objective_on_every_node(frame, rng):
+    # the whole slot (k > 0, and l > 0 past the CP) against a Doppler span of
+    # +-1.5/T_o, wider than the 1/T_o period the scan folds its FFT grid over
+    pair = _random_pair(frame, rng)
+    y = 0.7 * apply_channel_operator(2.3 * frame.t_total, -0.4 * frame.delta_f, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, nu_max=1.5 / frame.t_total)
+    branches = {(dg.k > 0, dg.l > 0) for dg in (delay_geometry(t, frame) for t in tau_grid)}
+    assert (True, True) in branches
+    assert nu_grid.min() < 0 and np.ptp(nu_grid) > 1.0 / frame.t_total
+    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    objective = matched_objective(y, pair, frame)
+    direct = np.array([[objective(t, v)[0] for v in nu_grid] for t in tau_grid])
+    np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
 
 
 def test_tackled_agrees_with_unaware_when_models_coincide(frame, rng):
