@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -220,10 +221,12 @@ def _validate(cfg: ExperimentConfig):
         for n_c in counts:
             if not arr.n_rf_tx <= n_c <= arr.n_rf_tx ** 2:
                 problems.append(f"{name}: closed-switch count {n_c} outside [n_rf_tx, n_rf_tx^2]")
-    if cfg.trials < 1:
-        problems.append("trials must be >= 1")
-    if cfg.seed < 0:
-        problems.append("seed must be >= 0")
+    for name, low in (("trials", 1), ("seed", 0)):
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            problems.append(f"{name} must be an integer, got {value!r}")
+        elif value < low:
+            problems.append(f"{name} must be >= {low}")
     for name, etas in (("tradeoff", cfg.tradeoff.eta_grid), ("se_sweep", cfg.se_sweep.etas),
                        ("beam_scan", [cfg.beam_scan.eta]), ("mc_rmse", [cfg.mc_rmse.eta])):
         for eta in etas:

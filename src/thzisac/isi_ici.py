@@ -24,6 +24,10 @@ from .sensing_rx import DelayDopplerEstimate, MlProfile, golden_section_max, gss
 from .waveform import FrameConfig
 
 
+class FlatObjectiveError(ValueError):
+    """The tackled objective is zero on every coarse node: nothing to detect."""
+
+
 @dataclass(frozen=True)
 class DelayGeometry:
     """Integer split of a delay: k whole symbols, l leftover samples, phase base b.
@@ -185,36 +189,135 @@ def matched_objective(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig):
     return fun
 
 
+def _fast_fft_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles without slow radices."""
+    best = 1 << max(0, n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            q = p35
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _lattice_index(grid: np.ndarray, step: float, name: str) -> np.ndarray:
+    """Integer node indices of grid on the lattice step * k; off-lattice raises."""
+    idx = np.round(grid / step).astype(int)
+    if not np.allclose(idx * step, grid, rtol=0, atol=step * 1e-9):
+        raise ValueError(f"{name} grid must lie on the half-bin lattice")
+    return idx
+
+
+def _cp_stream(pair: ExtendedTxPair, frame: FrameConfig, half: int, n_prev: int,
+               length: int) -> np.ndarray:
+    """Serialized CP-carrying transmit samples, zero-padded to length.
+
+    Covers the last n_prev symbols of the previous slot and the whole current
+    slot. Sample p holds the waveform half * T/(2M) after sample instant p,
+    inside the same symbol (half is 0 or 1).
+    """
+    m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
+    stream = np.zeros(length, dtype=complex)
+    sym = stream[:(n_prev + n_sym) * (m_sc + m_cp)].reshape(n_prev + n_sym, m_sc + m_cp)
+    ramp = np.exp(1j * np.pi * half * np.arange(m_sc) / m_sc)[:, None]
+    sym[:n_prev, m_cp:] = np.fft.ifft(ramp * pair.x_prev[:, n_sym - n_prev:], axis=0).T
+    sym[n_prev:, m_cp:] = np.fft.ifft(ramp * pair.x_curr, axis=0).T
+    sym[:, m_cp:] *= np.sqrt(m_sc)
+    sym[:, :m_cp] = sym[:, m_sc:]
+    return stream
+
+
 def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
                  tau_grid: np.ndarray, nu_grid: np.ndarray):
-    """Evaluate the tackled objective on the grid with shared per-delay FFT work.
+    """Evaluate the tackled objective on the half-bin grid by FFT cross-correlation.
 
-    For fixed tau the correlation separates as
-    sum_m e^{-j2pi nu (T_cp + mT/M)} sum_n W[m,n] e^{-j2pi nu n T_o}; the inner
-    sum is periodic in nu with period 1/T_o and lives on a half-bin FFT grid,
-    so each tau node costs O(M N log) regardless of the Doppler span.
+    With P = M + m_cp samples of T/M per symbol, delay node i = tau / (T/(2M))
+    reads the serialized transmit stream of the two slots at half-sample phase
+    i % 2, (i + 1) // 2 samples back. For one Doppler node the correlations of
+    all delays with the Doppler-rotated receive stream (zero on the CP
+    samples) are therefore one cross-correlation per phase. It is computed
+    overlap-save: the receive stream is cut into blocks, each correlated
+    against the transmit samples from the largest lag before it, and the
+    block spectra are summed before one short inverse FFT. Each delay's energy
+    ||H(tau, nu) x||^2 is a sum of N windows of a cumulative sum of |stream|^2.
+    Cost per Doppler node: one batched FFT of about N*P samples, whatever the
+    delay span; the Doppler ramp is applied by a running product.
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    m_idx = np.arange(m_sc)
-    y_grid = y.reshape(m_sc, n_sym, order="F")
-    z_time = np.fft.ifft(y_grid, axis=0) * np.sqrt(m_sc)
-    x_cat = pair.concat()
+    m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
+    p_len = m_sc + m_cp
+    i_nodes = _lattice_index(tau_grid, frame.t_symbol / (2 * m_sc), "delay")
     d_nu = 1.0 / (2 * n_sym * frame.t_total)
-    j_nodes = np.round(nu_grid / d_nu).astype(int)
-    if not np.allclose(j_nodes * d_nu, nu_grid, rtol=0, atol=d_nu * 1e-9):
-        raise ValueError("Doppler grid must lie on the half-bin lattice")
+    j_nodes = _lattice_index(nu_grid, d_nu, "Doppler")
     out = np.zeros((tau_grid.size, nu_grid.size))
-    phase_m = np.exp(-2j * np.pi * np.outer(m_idx / m_sc * frame.t_symbol + frame.t_cp,
-                                            nu_grid))
-    for i, tau in enumerate(tau_grid):
-        s = _delayed_samples(float(tau), x_cat, frame)
-        den = float(np.sum(np.abs(s) ** 2))
-        if den <= 0.0:
-            continue
-        w = np.conj(s) * z_time
-        g = np.fft.fft(w, n=2 * n_sym, axis=1)
-        corr = np.sum(phase_m * g[:, np.mod(j_nodes, 2 * n_sym)], axis=0)
-        out[i] = np.abs(corr) ** 2 / den
+    if out.size == 0:
+        return out
+    if i_nodes.min() < 0 or i_nodes.max() > 2 * n_sym * p_len:
+        raise ValueError("delay grid outside [0, slot duration]")
+    lags = (i_nodes + 1) // 2
+    by_phase = [(sel, lags[sel]) for sel in (i_nodes % 2 == 0, i_nodes % 2 == 1)]
+    lag_max = int(lags.max())
+
+    # receive samples m_cp .. N*P-1 of the slot in n_blk blocks of blk_len; the
+    # transmit stream starts with the n_prev previous-slot symbols lag_max reaches.
+    # Four buffers span all blocks (n_blk * (span / n_blk + lag_max) samples)
+    # and two one block; sqrt(span / (2 lag_max)) blocks minimises their sum.
+    span = n_sym * p_len - m_cp
+    n_blk = max(1, round(np.sqrt(span / (2 * (lag_max + 1)))))
+    fft_len = _fast_fft_len(-(-span // n_blk) + lag_max)
+    blk_len = fft_len - lag_max
+    n_blk = -(-span // blk_len)
+    n_prev = -(-max(0, lag_max - m_cp) // p_len)
+    rx_first = (n_prev + np.arange(n_sym)) * p_len + m_cp
+    spectra, den = [], np.zeros(i_nodes.size)
+    for h, (sel, lag_h) in enumerate(by_phase):
+        tx = _cp_stream(pair, frame, h, n_prev, rx_first[0] + n_blk * blk_len)
+        energy = np.zeros(tx.size + 1)
+        np.abs(tx, out=energy[1:])
+        np.square(energy, out=energy)
+        np.cumsum(energy, out=energy)
+        for first in rx_first:
+            den[sel] += energy[first + m_sc - lag_h] - energy[first - lag_h]
+        del energy
+        windows = np.lib.stride_tricks.sliding_window_view(
+            tx[rx_first[0] - lag_max:], blk_len + lag_max)[::blk_len]
+        spec = np.fft.fft(windows, n=fft_len, axis=1)
+        del tx, windows
+        spectra.append(np.conjugate(spec, out=spec))
+        del spec
+
+    rx = np.zeros((n_blk, fft_len), dtype=complex)
+    body = rx[:, lag_max:]
+    flat = np.zeros(n_blk * blk_len + m_cp, dtype=complex)
+    flat[:n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc] = np.fft.ifft(
+        y.reshape(m_sc, n_sym, order="F"), axis=0).T
+    body[...] = flat[:n_blk * blk_len].reshape(n_blk, blk_len)
+    del flat
+    body *= np.sqrt(m_sc)
+    acc = np.empty(fft_len, dtype=complex)
+    step_j, prev_j = None, 0
+    for col, j in enumerate(j_nodes):
+        if j != prev_j:
+            if j - prev_j != step_j:
+                step_j = j - prev_j
+                t_body = (m_cp + np.arange(n_blk * blk_len)) / (m_sc * frame.delta_f)
+                step = np.exp(-2j * np.pi * step_j * d_nu * t_body).reshape(n_blk, blk_len)
+            body *= step
+            prev_j = j
+        spec = np.fft.fft(rx, axis=1)
+        for (sel, lag_h), tx_spec in zip(by_phase, spectra):
+            if lag_h.size:
+                np.einsum("bk,bk->k", spec, tx_spec, out=acc)
+                corr = np.fft.ifft(acc)[lag_h]
+                out[sel, col] = corr.real ** 2 + corr.imag ** 2
+        del spec
+    live = den > 0.0
+    out[~live] = 0.0
+    out[live] /= den[live, None]
     return out
 
 
@@ -243,12 +346,13 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     Coarse grid at half-bin spacing (T/(2M) in delay, 1/(2*N*T_o) in Doppler)
     over [0, tau_max] x [-nu_max, nu_max], then alternating golden-section
     refinement one coarse step around the best node. Returns
-    (DelayDopplerEstimate, alpha_hat).
+    (DelayDopplerEstimate, alpha_hat); raises FlatObjectiveError when the
+    objective is zero on every coarse node.
     """
     d_tau, d_nu, tau_grid, j_max, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
     if not np.any(prof > 0):
-        raise ValueError("no detectable target: flat matched-filter objective")
+        raise FlatObjectiveError("no detectable target: flat matched-filter objective")
     i, j = np.unravel_index(int(np.argmax(prof)), prof.shape)
     tau0, nu0 = float(tau_grid[i]), float(nu_grid[j])
 
@@ -292,12 +396,16 @@ def successive_cancellation(y: np.ndarray, pair: ExtendedTxPair, frame: FrameCon
 
     Each pass takes the strongest remaining response, fits its coefficient by
     least squares, and cancels it before the next pass. Returns a list of
-    (DelayDopplerEstimate, alpha_hat), strongest first.
+    (DelayDopplerEstimate, alpha_hat), strongest first; it is shorter than
+    count when a pass finds a flat objective (nothing left to detect).
     """
     residual = y.copy()
     results = []
     for _ in range(count):
-        est, alpha = tackled_estimate(residual, pair, frame, tau_max, nu_max)
+        try:
+            est, alpha = tackled_estimate(residual, pair, frame, tau_max, nu_max)
+        except FlatObjectiveError:
+            break
         residual = residual - alpha * apply_channel_operator(est.tau_hat, est.nu_hat,
                                                              pair, frame)
         results.append((est, alpha))

@@ -337,12 +337,10 @@ def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int
     for _, i, j in errs[:k_s]:
         f_rf[i * k_t:(i + 1) * k_t, j] = scan_phases[i * k_t:(i + 1) * k_t]
 
-    # SCA weights the amplitudes by sqrt(eta), sqrt(1-eta) and scales each
-    # subcarrier's target to power ns before the least-squares fit
+    # SCA weights the amplitudes by sqrt(eta), sqrt(1-eta)
     sense_opt = optimal_sensing_precoder(codebook, q, ns)
-    weighted = (np.sqrt(eta) * c + np.sqrt(1.0 - eta) * sense_opt for c in comm_opt)
     digital = _normalized_least_squares(
-        f_rf, (w * (np.sqrt(ns) / np.linalg.norm(w)) for w in weighted))
+        f_rf, (np.sqrt(eta) * c + np.sqrt(1.0 - eta) * sense_opt for c in comm_opt))
     return PrecoderSet(analog=f_rf, digital=digital, switch=switch, converged=True)
 
 

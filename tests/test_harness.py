@@ -43,6 +43,12 @@ def test_validation_errors():
         config_from_dict({"beam_scan": {"n_closed": 2}})
     with pytest.raises(ConfigError, match="seed"):
         config_from_dict({"seed": -1})
+    with pytest.raises(ConfigError, match="trials must be an integer, got '3'"):
+        config_from_dict({"trials": "3"})
+    with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+        config_from_dict({"seed": 1.5})
+    with pytest.raises(ConfigError, match="trials must be an integer, got True"):
+        config_from_dict({"trials": True})
 
 
 def test_yaml_round_trip(tmp_path):
@@ -186,6 +192,8 @@ def test_cli_config_error_exit_two(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("frame:\n  delta_f_mhz: 1.92\n")
     assert cli_main(["se-sweep", "--config", str(bad)]) == 2
+    bad.write_text('trials: "3"\n')
+    assert cli_main(["selftest", "--config", str(bad)]) == 2
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
 
 

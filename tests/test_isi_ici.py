@@ -1,16 +1,18 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from thzisac.channel import SensingScene, SensingTarget
+from thzisac import isi_ici
+from thzisac.channel import SensingScene, SensingTarget, delay_of_range, doppler_of_velocity
 from thzisac.isi_ici import (ExtendedTxPair, TxBaseband, _coarse_scan, _half_bin_grid,
                              apply_channel_operator, cp_limited_range, delay_geometry,
                              hadamard_model_vec, isi_ici_rx, matched_objective,
                              resolve_collapsed_coeffs, successive_cancellation,
                              tackled_estimate, unaware_estimate_peaks,
                              unaware_successive_cancellation)
-from thzisac.waveform import FrameConfig, ofdm_modulate
+from thzisac.waveform import FrameConfig, generate_symbols, ofdm_modulate
 
 from oracles import bruteforce_rx
 
@@ -191,6 +193,88 @@ def test_coarse_scan_matches_matched_objective_on_every_node(frame, rng):
     np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
 
 
+def _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid):
+    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    objective = matched_objective(y, pair, frame)
+    direct = np.array([[objective(t, v)[0] for v in nu_grid] for t in tau_grid])
+    np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("predecessor", ["random", "zero"])
+def test_coarse_scan_oracle_one_doppler_node_up_to_slot_end(frame, rng, predecessor):
+    # the ISI shape: every delay node of the slot, up to tau = T_slot (lag N*P
+    # samples), against a single Doppler node
+    pair = _random_pair(frame, rng)
+    if predecessor == "zero":
+        pair = ExtendedTxPair.with_zero_predecessor(pair.x_curr)
+    y = 0.7 * apply_channel_operator(frame.t_cp + 0.4 * frame.t_symbol, 0.0, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, nu_max=0.0)
+    assert nu_grid.size == 1
+    assert np.isclose(tau_grid[-1], frame.t_slot, rtol=1e-12)
+    assert tau_grid.size == 2 * frame.n_symbols * (frame.m_subcarriers + frame.m_cp) + 1
+    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
+
+
+@pytest.mark.parametrize("shape", [(32, 8, 8), (24, 5, 5), (16, 4, 0)])
+def test_coarse_scan_oracle_narrow_delay_wide_doppler(rng, shape):
+    # the ICI shape: a few delay nodes inside the CP against a Doppler span of
+    # +-1.5/T_o; frames include a prime symbol length M + m_cp and no CP
+    m_sc, n_sym, m_cp = shape
+    frame = FrameConfig(m_sc, n_sym, 4, 1e6, 0.3e12, m_cp=m_cp)
+    pair = _random_pair(frame, rng)
+    y = 0.7 * apply_channel_operator(0.2 * frame.t_symbol / m_sc, 0.4 * frame.delta_f, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max=2.6 * frame.t_symbol / m_sc,
+                                                nu_max=1.5 / frame.t_total)
+    assert tau_grid.size == 6 and nu_grid.size == 6 * n_sym + 1
+    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
+
+
+def test_coarse_scan_oracle_scattered_lattice_nodes(frame, rng):
+    # unsorted, non-contiguous nodes with uneven Doppler steps
+    pair = _random_pair(frame, rng)
+    y = (rng.standard_normal(32 * 8) + 1j * rng.standard_normal(32 * 8)) / np.sqrt(2)
+    d_tau = frame.t_symbol / 64
+    d_nu = 1.0 / (16 * frame.t_total)
+    last = 2 * 8 * (32 + frame.m_cp)
+    tau_grid = d_tau * np.array([7, 0, last, 3, last - 1, 90])
+    nu_grid = d_nu * np.array([5, -3, -2, 4, 4, 0, 40])
+    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
+
+
+def test_coarse_scan_rejects_nodes_off_the_lattice_or_slot(frame, rng):
+    pair = _random_pair(frame, rng)
+    y = np.ones(32 * 8, complex)
+    d_tau = frame.t_symbol / 64
+    with pytest.raises(ValueError, match="delay grid must lie"):
+        _coarse_scan(y, pair, frame, np.array([0.3 * d_tau]), np.zeros(1))
+    with pytest.raises(ValueError, match="Doppler grid must lie"):
+        _coarse_scan(y, pair, frame, np.zeros(1), np.array([0.13 * frame.delta_f]))
+    with pytest.raises(ValueError, match="outside"):
+        _coarse_scan(y, pair, frame, np.array([frame.t_slot + d_tau]), np.zeros(1))
+
+
+def test_tackled_estimate_transient_memory_bound():
+    # one pass on the short-CP demo grid (M=1024, N=16, 3.84 MHz, 0-55 m,
+    # +-30 m/s: 2887 delay nodes x 1 Doppler node); the per-delay scan this
+    # replaced peaked at ~2.87e6 traced bytes here
+    frame = FrameConfig(1024, 16, 32, 3840e3, 0.3e12)
+    rng = np.random.default_rng(11)
+    pair = ExtendedTxPair(generate_symbols(frame, 1, rng)[0], generate_symbols(frame, 1, rng)[0])
+    tau_max, nu_max = delay_of_range(55.0), doppler_of_velocity(30.0, frame.fc)
+    y = 0.3 * apply_channel_operator(delay_of_range(45.0), 1e3, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    tackled_estimate(y, pair, frame, tau_max, nu_max)
+    tracemalloc.start()
+    try:
+        tackled_estimate(y, pair, frame, tau_max, nu_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.7e6
+
+
 def test_tackled_agrees_with_unaware_when_models_coincide(frame, rng):
     pair = _random_pair(frame, rng)
     m0 = 4
@@ -207,6 +291,29 @@ def test_tackled_flat_signal_raises(frame):
     pair = ExtendedTxPair(np.zeros((32, 8), complex), np.zeros((32, 8), complex))
     with pytest.raises(ValueError):
         tackled_estimate(np.zeros(32 * 8, complex), pair, frame)
+
+
+def test_successive_cancellation_on_all_zero_input_returns_nothing(frame, rng):
+    pair = _random_pair(frame, rng)
+    assert successive_cancellation(np.zeros(32 * 8, complex), pair, frame, 2) == []
+
+
+def test_successive_cancellation_keeps_passes_before_a_flat_one(frame, rng, monkeypatch):
+    # the second pass sees an all-zero residual: the first estimate survives
+    pair = _random_pair(frame, rng)
+    tau = 0.2 * frame.t_total
+    y = apply_channel_operator(tau, 0.0, pair, frame)
+    real = isi_ici.tackled_estimate
+    calls = []
+
+    def second_pass_flat(residual, *args):
+        calls.append(residual)
+        return real(np.zeros_like(residual) if len(calls) == 2 else residual, *args)
+
+    monkeypatch.setattr(isi_ici, "tackled_estimate", second_pass_flat)
+    res = successive_cancellation(y, pair, frame, 3)
+    assert len(calls) == 2 and len(res) == 1
+    assert abs(res[0][0].tau_hat - tau) < 1e-4 * frame.t_symbol / 32
 
 
 def test_successive_cancellation_two_targets(frame, rng):
