@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
+from .channel import delay_of_range, range_of_delay
 from .geometry import UpaGeometry
 from .precoding import SwitchMatrix, default_switch_pattern
 from .waveform import FrameConfig
@@ -214,13 +215,28 @@ def _validate(cfg: ExperimentConfig):
         problems.append("arrays: receive elements not divisible by n_rf_rx")
     if arr.n_streams > arr.n_rf_tx:
         problems.append("arrays: n_streams exceeds n_rf_tx")
-    for name, counts in (("tradeoff", cfg.tradeoff.structures),
-                         ("se_sweep", cfg.se_sweep.structures),
-                         ("beam_scan", [cfg.beam_scan.n_closed]),
-                         ("mc_rmse", [cfg.mc_rmse.n_closed])):
+    for name, counts, n_rf in (("tradeoff", cfg.tradeoff.structures, arr.n_rf_tx),
+                               ("se_sweep", cfg.se_sweep.structures, arr.n_rf_tx),
+                               ("beam_scan", [cfg.beam_scan.n_closed], arr.n_rf_tx),
+                               ("mc_rmse", [cfg.mc_rmse.n_closed], arr.n_rf_tx),
+                               ("arrays.n_closed_rx", [arr.n_closed_rx], arr.n_rf_rx)):
         for n_c in counts:
-            if not arr.n_rf_tx <= n_c <= arr.n_rf_tx ** 2:
-                problems.append(f"{name}: closed-switch count {n_c} outside [n_rf_tx, n_rf_tx^2]")
+            if not n_rf <= n_c <= n_rf ** 2:
+                problems.append(f"{name}: closed-switch count {n_c} outside [{n_rf}, {n_rf ** 2}]")
+    unknown = [a for a in cfg.tradeoff.algorithms if a not in ("vec", "sca")]
+    if unknown:
+        problems.append(f"tradeoff: unknown algorithms {unknown}, expected 'vec' or 'sca'")
+    slots = [q for q in cfg.beam_scan.slots if not 1 <= q <= arr.w_tx]
+    if slots:
+        problems.append(f"beam_scan: slots {slots} outside 1..{arr.w_tx}")
+    for name, step in (("beam_scan.angle_step_deg", cfg.beam_scan.angle_step_deg),
+                       ("mc_rmse.music_step_deg", cfg.mc_rmse.music_step_deg)):
+        if not step > 0:
+            problems.append(f"{name} must be > 0, got {step}")
+    if not 0.0 <= cfg.frame.cp_fraction <= 1.0:
+        problems.append(f"frame: cp_fraction {cfg.frame.cp_fraction} outside [0, 1]")
+    else:
+        problems.extend(_range_problems(cfg))
     for name, low in (("trials", 1), ("seed", 0)):
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -234,6 +250,24 @@ def _validate(cfg: ExperimentConfig):
                 problems.append(f"{name}: eta {eta} outside [0, 1]")
     if problems:
         raise ConfigError("; ".join(problems))
+
+
+def _range_problems(cfg: ExperimentConfig) -> list:
+    """ISI/ICI demo search ranges that reach past the shortest slot of their frames."""
+    problems = []
+    for name, spec, df_khz in (
+            ("isi_demo", cfg.isi_demo, max(cfg.isi_demo.delta_f_khz_control,
+                                           cfg.isi_demo.delta_f_khz_isi)),
+            ("ici_demo", cfg.ici_demo, cfg.ici_demo.delta_f_khz)):
+        try:
+            t_slot = cfg.frame.to_frame(spec.m_subcarriers, df_khz).t_slot
+            if delay_of_range(spec.max_range_m) > t_slot:
+                problems.append(f"{name}: max_range_m {spec.max_range_m} beyond the "
+                                f"{range_of_delay(t_slot):.4g} m one slot reaches "
+                                f"at {df_khz} kHz")
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+    return problems
 
 
 def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:

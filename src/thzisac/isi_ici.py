@@ -2,10 +2,12 @@
 
 Lifts the CP-bounded-delay and small-Doppler restrictions: delays may reach a
 full slot (tau <= T_s) and Doppler shifts may approach the subcarrier spacing.
-The per-target channel acts on the concatenated previous/current transmit grids
-through per-branch delay phases, a within-symbol split at sample index l, and
-an exact per-sample Doppler ramp; everything is FFT-sized, O(MN log M) per
-application.
+One model of the delayed transmit signal serves the operator and the coarse
+scan: the serialized, CP-carrying sample stream of the previous and current
+slots (_cp_stream). A delay reads that stream a whole number of samples back,
+with a forward fraction of a sample inside the same symbol as a per-subcarrier
+phase ramp; the operator then applies the exact per-sample Doppler ramp and a
+per-symbol DFT, O(MN log M) per application.
 
 The spatial dimension is collapsed here: one effective complex coefficient per
 target, with beamforming gains folded in by the caller.
@@ -28,30 +30,6 @@ class FlatObjectiveError(ValueError):
     """The tackled objective is zero on every coarse node: nothing to detect."""
 
 
-@dataclass(frozen=True)
-class DelayGeometry:
-    """Integer split of a delay: k whole symbols, l leftover samples, phase base b.
-
-    Samples m >= l of each received symbol carry transmit symbol n-k; samples
-    m < l carry symbol n-k-1 through the CP-straddling branch.
-    """
-
-    k: int
-    l: int
-    b: complex
-
-
-def delay_geometry(tau: float, frame: FrameConfig) -> DelayGeometry:
-    if tau < 0 or tau > frame.t_slot * (1 + 1e-12):
-        raise ValueError(f"delay {tau} outside [0, slot duration {frame.t_slot}]")
-    m_sc, m_cp = frame.m_subcarriers, frame.m_cp
-    k = int(np.floor(tau / frame.t_total))
-    raw = tau / frame.t_symbol * m_sc - m_cp - k * (m_sc + m_cp)
-    l = max(0, int(np.ceil(raw - 1e-9)))
-    b = np.exp(2j * np.pi * (k * m_cp / m_sc - tau * frame.delta_f))
-    return DelayGeometry(k=k, l=min(l, m_sc), b=complex(b))
-
-
 @dataclass
 class ExtendedTxPair:
     """Frequency-domain transmit grids of the previous and current slots, (M, N) each."""
@@ -67,9 +45,6 @@ class ExtendedTxPair:
     def with_zero_predecessor(cls, x_curr: np.ndarray) -> "ExtendedTxPair":
         """First slot of a frame: nothing was on the air before it."""
         return cls(x_prev=np.zeros_like(x_curr), x_curr=x_curr)
-
-    def concat(self) -> np.ndarray:
-        return np.hstack([self.x_prev, self.x_curr])
 
 
 class TxBaseband:
@@ -99,41 +74,50 @@ class TxBaseband:
         return np.where(valid, vals, 0.0)
 
 
-def _delayed_samples(tau: float, x_cat: np.ndarray, frame: FrameConfig) -> np.ndarray:
-    """Time-domain samples (M, N) of the concatenated grids x_cat delayed by tau.
+def _cp_stream(pair: ExtendedTxPair, frame: FrameConfig, frac: float, n_prev: int,
+               length: int) -> np.ndarray:
+    """Serialized CP-carrying transmit samples, zero-padded to length.
 
-    Samples m >= l come from symbol n-k, samples m < l from symbol n-k-1 with
-    the extra CP phase ramp (the CP-straddling branch).
+    Covers the last n_prev symbols of the previous slot and the whole current
+    slot. Sample p holds the waveform frac * T/M after sample instant p,
+    inside the same symbol (0 <= frac < 1).
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    dg = delay_geometry(tau, frame)
-    m_idx = np.arange(m_sc)
-    b1 = dg.b ** m_idx
-    cols = n_sym + np.arange(n_sym) - dg.k
-    s = np.fft.ifft(b1[:, None] * x_cat[:, cols], axis=0) * np.sqrt(m_sc)
-    if dg.l > 0:
-        b2 = b1 * np.exp(2j * np.pi * m_idx * frame.m_cp / m_sc)
-        t2 = np.fft.ifft(b2[:, None] * x_cat[:, cols - 1], axis=0) * np.sqrt(m_sc)
-        s = np.where(m_idx[:, None] >= dg.l, s, t2)
-    return s
+    m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
+    stream = np.zeros(length, dtype=complex)
+    sym = stream[:(n_prev + n_sym) * (m_sc + m_cp)].reshape(n_prev + n_sym, m_sc + m_cp)
+    ramp = np.exp(2j * np.pi * frac * np.arange(m_sc) / m_sc)[:, None]
+    sym[:n_prev, m_cp:] = np.fft.ifft(ramp * pair.x_prev[:, n_sym - n_prev:], axis=0).T
+    sym[n_prev:, m_cp:] = np.fft.ifft(ramp * pair.x_curr, axis=0).T
+    sym[:, m_cp:] *= np.sqrt(m_sc)
+    sym[:, :m_cp] = sym[:, m_sc:]
+    return stream
 
 
 def apply_channel_operator(tau: float, nu: float, pair: ExtendedTxPair,
                            frame: FrameConfig) -> np.ndarray:
     """Frequency-domain response of a unit-coefficient target at (tau, nu).
 
-    Returns the length-M*N vector (symbol-major) of the received grid: the
-    delayed time-domain samples of the concatenated slots, Doppler-rotated at
-    the true receive instants, then re-DFT'd per symbol. Linear in the grids.
+    Returns the length-M*N vector (symbol-major) of the received grid. The
+    delay is read off the serialized transmit stream of the two slots as a
+    whole-sample lag back plus a forward fraction inside the same symbol;
+    the samples are Doppler-rotated at the true receive instants and
+    re-DFT'd per symbol. Linear in the grids.
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    m_idx = np.arange(m_sc)
-    s = _delayed_samples(tau, pair.concat(), frame)
-    t_sample = (np.arange(n_sym)[None, :] * frame.t_total + frame.t_cp
-                + m_idx[:, None] / m_sc * frame.t_symbol)
-    r = s * np.exp(2j * np.pi * nu * t_sample)
-    y = np.fft.fft(r, axis=0) / np.sqrt(m_sc)
-    return y.reshape(-1, order="F")
+    if tau < 0 or tau > frame.t_slot * (1 + 1e-12):
+        raise ValueError(f"delay {tau} outside [0, slot duration {frame.t_slot}]")
+    m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
+    p_len = m_sc + m_cp
+    shift = tau * m_sc * frame.delta_f
+    lag = int(np.ceil(shift - 1e-9))
+    n_prev = -(-max(0, lag - m_cp) // p_len)
+    stream = _cp_stream(pair, frame, max(0.0, lag - shift), n_prev,
+                        (n_prev + n_sym) * p_len + m_cp)
+    first = n_prev * p_len + m_cp - lag
+    rows = stream[first:first + n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc]
+    t_sample = (np.arange(n_sym)[:, None] * frame.t_total + frame.t_cp
+                + np.arange(m_sc)[None, :] / m_sc * frame.t_symbol)
+    r = rows * np.exp(2j * np.pi * nu * t_sample)
+    return (np.fft.fft(r, axis=1) / np.sqrt(m_sc)).reshape(-1)
 
 
 def isi_ici_rx(scene: SensingScene, pair: ExtendedTxPair, frame: FrameConfig,
@@ -174,18 +158,13 @@ def cp_limited_range(frame: FrameConfig) -> float:
 # ---------------------------------------------------------------------------
 
 def matched_objective(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig):
-    """Normalized correlation |<H(tau,nu)x, y>|^2 / ||H(tau,nu)x||^2 as a callable.
-
-    The callable returns (value, alpha) with alpha the least-squares coefficient
-    at that (tau, nu).
-    """
-    def fun(tau: float, nu: float):
+    """Normalized correlation |<H(tau,nu)x, y>|^2 / ||H(tau,nu)x||^2 as a callable."""
+    def fun(tau: float, nu: float) -> float:
         h = apply_channel_operator(tau, nu, pair, frame)
         den = float(np.vdot(h, h).real)
         if den <= 0.0:
-            return 0.0, 0.0j
-        c = np.vdot(h, y)
-        return float(np.abs(c) ** 2 / den), c / den
+            return 0.0
+        return float(np.abs(np.vdot(h, y)) ** 2 / den)
     return fun
 
 
@@ -211,25 +190,6 @@ def _lattice_index(grid: np.ndarray, step: float, name: str) -> np.ndarray:
     if not np.allclose(idx * step, grid, rtol=0, atol=step * 1e-9):
         raise ValueError(f"{name} grid must lie on the half-bin lattice")
     return idx
-
-
-def _cp_stream(pair: ExtendedTxPair, frame: FrameConfig, half: int, n_prev: int,
-               length: int) -> np.ndarray:
-    """Serialized CP-carrying transmit samples, zero-padded to length.
-
-    Covers the last n_prev symbols of the previous slot and the whole current
-    slot. Sample p holds the waveform half * T/(2M) after sample instant p,
-    inside the same symbol (half is 0 or 1).
-    """
-    m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
-    stream = np.zeros(length, dtype=complex)
-    sym = stream[:(n_prev + n_sym) * (m_sc + m_cp)].reshape(n_prev + n_sym, m_sc + m_cp)
-    ramp = np.exp(1j * np.pi * half * np.arange(m_sc) / m_sc)[:, None]
-    sym[:n_prev, m_cp:] = np.fft.ifft(ramp * pair.x_prev[:, n_sym - n_prev:], axis=0).T
-    sym[n_prev:, m_cp:] = np.fft.ifft(ramp * pair.x_curr, axis=0).T
-    sym[:, m_cp:] *= np.sqrt(m_sc)
-    sym[:, :m_cp] = sym[:, m_sc:]
-    return stream
 
 
 def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
@@ -275,7 +235,7 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     rx_first = (n_prev + np.arange(n_sym)) * p_len + m_cp
     spectra, den = [], np.zeros(i_nodes.size)
     for h, (sel, lag_h) in enumerate(by_phase):
-        tx = _cp_stream(pair, frame, h, n_prev, rx_first[0] + n_blk * blk_len)
+        tx = _cp_stream(pair, frame, h / 2, n_prev, rx_first[0] + n_blk * blk_len)
         energy = np.zeros(tx.size + 1)
         np.abs(tx, out=energy[1:])
         np.square(energy, out=energy)
@@ -345,9 +305,9 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
 
     Coarse grid at half-bin spacing (T/(2M) in delay, 1/(2*N*T_o) in Doppler)
     over [0, tau_max] x [-nu_max, nu_max], then alternating golden-section
-    refinement one coarse step around the best node. Returns
-    (DelayDopplerEstimate, alpha_hat); raises FlatObjectiveError when the
-    objective is zero on every coarse node.
+    refinement one coarse step around the best node. Returns the
+    DelayDopplerEstimate; raises FlatObjectiveError when the objective is zero
+    on every coarse node.
     """
     d_tau, d_nu, tau_grid, j_max, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
@@ -358,24 +318,22 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
 
     objective = matched_objective(y, pair, frame)
     tau, nu = tau0, nu0
-    best, _ = objective(tau, nu)
+    best = objective(tau, nu)
     lo_t, hi_t = max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau)
     lo_n, hi_n = nu0 - d_nu, nu0 + d_nu
     for _ in range(rounds):
-        cand, val = golden_section_max(lambda t: objective(t, nu)[0], lo_t, hi_t,
+        cand, val = golden_section_max(lambda t: objective(t, nu), lo_t, hi_t,
                                        iters, 1e-6 * d_tau)
         if val > best:
             tau, best = cand, val
-        cand, val = golden_section_max(lambda v: objective(tau, v)[0], lo_n, hi_n,
+        cand, val = golden_section_max(lambda v: objective(tau, v), lo_n, hi_n,
                                        iters, 1e-6 * d_nu)
         if val > best:
             nu, best = cand, val
-    _, alpha = objective(tau, nu)
-    est = DelayDopplerEstimate(
+    return DelayDopplerEstimate(
         tau_hat=tau, nu_hat=nu,
         range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),
         coarse_bin=(i, j - j_max), peak_value=best)
-    return est, alpha
 
 
 def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
@@ -390,26 +348,38 @@ def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
     return tau_grid, prof.max(axis=1)
 
 
-def successive_cancellation(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
-                            count: int, tau_max: float = None, nu_max: float = None):
-    """Estimate-subtract loop for multiple targets under the exact model.
+def _cancel(y: np.ndarray, count: int, detect, response) -> list:
+    """Detect, fit, subtract: the successive-cancellation loop of both models.
 
-    Each pass takes the strongest remaining response, fits its coefficient by
-    least squares, and cancels it before the next pass. Returns a list of
-    (DelayDopplerEstimate, alpha_hat), strongest first; it is shorter than
-    count when a pass finds a flat objective (nothing left to detect).
+    Each pass detects the strongest remaining target with detect(residual),
+    fits alpha = <h, r> / ||h||^2 on its model response h = response(est) and
+    subtracts alpha * h. Returns [(estimate, alpha)], strongest first; shorter
+    than count when detect finds a flat objective.
     """
     residual = y.copy()
     results = []
     for _ in range(count):
         try:
-            est, alpha = tackled_estimate(residual, pair, frame, tau_max, nu_max)
+            est = detect(residual)
         except FlatObjectiveError:
             break
-        residual = residual - alpha * apply_channel_operator(est.tau_hat, est.nu_hat,
-                                                             pair, frame)
+        h = response(est)
+        alpha = np.vdot(h, residual) / np.vdot(h, h).real
+        residual = residual - alpha * h
         results.append((est, alpha))
     return results
+
+
+def successive_cancellation(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
+                            count: int, tau_max: float = None, nu_max: float = None):
+    """Estimate-subtract loop for multiple targets under the exact model.
+
+    Returns a list of (DelayDopplerEstimate, alpha_hat), strongest first; it is
+    shorter than count when a pass finds a flat objective (nothing left).
+    """
+    return _cancel(y, count,
+                   lambda r: tackled_estimate(r, pair, frame, tau_max, nu_max),
+                   lambda est: apply_channel_operator(est.tau_hat, est.nu_hat, pair, frame))
 
 
 # ---------------------------------------------------------------------------
@@ -453,16 +423,9 @@ def unaware_successive_cancellation(y: np.ndarray, pair: ExtendedTxPair,
     the fitting: exact when delays stay inside the CP and Doppler is small,
     and increasingly biased (with residual masking of weak targets) otherwise.
     """
-    residual = y.copy()
-    energy = float(np.sum(np.abs(pair.x_curr) ** 2))
-    results = []
-    for _ in range(count):
-        est = unaware_estimate_peaks(residual, pair, frame, 1, tau_max)[0]
-        model = hadamard_model_vec(pair.x_curr, est.tau_hat, est.nu_hat, frame)
-        alpha = np.vdot(model, residual) / energy
-        residual = residual - alpha * model
-        results.append((est, alpha))
-    return results
+    return _cancel(y, count,
+                   lambda r: unaware_estimate_peaks(r, pair, frame, 1, tau_max)[0],
+                   lambda est: hadamard_model_vec(pair.x_curr, est.tau_hat, est.nu_hat, frame))
 
 
 def unaware_estimate_peaks(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,

@@ -61,21 +61,14 @@ class FrameConfig:
         return self.q_slots * self.t_slot
 
 
-def generate_symbols(cfg: FrameConfig, ns: int, rng: np.random.Generator,
-                     constellation: str = "qpsk") -> np.ndarray:
-    """I.i.d. data symbols, shape (ns, M, N), per-entry power 1/ns.
+def generate_symbols(cfg: FrameConfig, ns: int, rng: np.random.Generator) -> np.ndarray:
+    """I.i.d. QPSK data symbols, shape (ns, M, N), per-entry power 1/ns.
 
     The stream-vector covariance is then I/ns as required by the transmit model.
     """
     shape = (ns, cfg.m_subcarriers, cfg.n_symbols)
-    if constellation == "qpsk":
-        bits = rng.integers(0, 2, size=(2,) + shape)
-        sym = ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2.0 * ns)
-    elif constellation == "gaussian":
-        sym = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0 * ns)
-    else:
-        raise ValueError(f"unknown constellation '{constellation}'")
-    return sym
+    bits = rng.integers(0, 2, size=(2,) + shape)
+    return ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2.0 * ns)
 
 
 def precode_frequency(symbols: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray) -> np.ndarray:

@@ -4,9 +4,9 @@ Strings and ints compare exactly, floats to GOLDEN_RTOL relative. Each CSV's
 provenance line and each summary's config_sha are left out, because they hash
 the config schema rather than the results.
 
-A change meant to alter results regenerates the files with
-    PYTHONPATH=src python tests/test_golden.py
-and says why in CHANGES.md.
+A change meant to alter results regenerates the files it alters with
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+(all cases when none is named) and says why in CHANGES.md.
 """
 
 import json
@@ -97,8 +97,12 @@ def test_runner_matches_golden(case, tmp_path):
 
 
 if __name__ == "__main__":
+    wanted = sys.argv[1:] or CASES
+    unknown = sorted(set(wanted) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases {unknown}; known: {CASES}")
     GOLDEN.mkdir(exist_ok=True)
-    for case in CASES:
+    for case in wanted:
         with tempfile.TemporaryDirectory() as tmp:
             data = runner_outputs(case, Path(tmp))
         (GOLDEN / f"{case}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")

@@ -49,6 +49,27 @@ def test_validation_errors():
         config_from_dict({"seed": 1.5})
     with pytest.raises(ConfigError, match="trials must be an integer, got True"):
         config_from_dict({"trials": True})
+    with pytest.raises(ConfigError, match=r"tradeoff: unknown algorithms \['svd'\]"):
+        config_from_dict({"tradeoff": {"algorithms": ["vec", "svd"]}})
+    for slot in (0, 33):
+        with pytest.raises(ConfigError, match=rf"beam_scan: slots \[{slot}\] outside 1..32"):
+            config_from_dict({"beam_scan": {"slots": [3, slot]}})
+    with pytest.raises(ConfigError, match="angle_step_deg must be > 0"):
+        config_from_dict({"beam_scan": {"angle_step_deg": 0}})
+    with pytest.raises(ConfigError, match="music_step_deg must be > 0"):
+        config_from_dict({"mc_rmse": {"music_step_deg": 0}})
+    with pytest.raises(ConfigError, match=r"cp_fraction 2 outside \[0, 1\]"):
+        config_from_dict({"frame": {"cp_fraction": 2}})
+    with pytest.raises(ConfigError, match="n_closed_rx: closed-switch count 99"):
+        config_from_dict({"arrays": {"n_closed_rx": 99}})
+    # one slot reaches 780.7 m at 3.84 MHz and 24.98 km at 120 kHz (M = 1024, N = 16)
+    with pytest.raises(ConfigError, match="isi_demo: max_range_m 800 beyond the 780.7 m"):
+        config_from_dict({"isi_demo": {"max_range_m": 800}})
+    with pytest.raises(ConfigError, match="ici_demo: max_range_m 25000 beyond the 2.498e"):
+        config_from_dict({"ici_demo": {"max_range_m": 25000}})
+    with pytest.raises(ConfigError, match="isi_demo: range must be >= 0"):
+        config_from_dict({"isi_demo": {"max_range_m": -1}})
+    config_from_dict({"isi_demo": {"max_range_m": 780}, "ici_demo": {"max_range_m": 24900}})
 
 
 def test_yaml_round_trip(tmp_path):
@@ -193,6 +214,8 @@ def test_cli_config_error_exit_two(tmp_path):
     bad.write_text("frame:\n  delta_f_mhz: 1.92\n")
     assert cli_main(["se-sweep", "--config", str(bad)]) == 2
     bad.write_text('trials: "3"\n')
+    assert cli_main(["selftest", "--config", str(bad)]) == 2
+    bad.write_text("frame:\n  cp_fraction: 2\n")
     assert cli_main(["selftest", "--config", str(bad)]) == 2
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
 

@@ -7,7 +7,7 @@ import pytest
 from thzisac import isi_ici
 from thzisac.channel import SensingScene, SensingTarget, delay_of_range, doppler_of_velocity
 from thzisac.isi_ici import (ExtendedTxPair, TxBaseband, _coarse_scan, _half_bin_grid,
-                             apply_channel_operator, cp_limited_range, delay_geometry,
+                             apply_channel_operator, cp_limited_range,
                              hadamard_model_vec, isi_ici_rx, matched_objective,
                              resolve_collapsed_coeffs, successive_cancellation,
                              tackled_estimate, unaware_estimate_peaks,
@@ -29,24 +29,8 @@ def _random_pair(frame, rng):
 
 
 # ---------------------------------------------------------------------------
-# delay geometry and baseband sampler
+# baseband sampler
 # ---------------------------------------------------------------------------
-
-def test_delay_geometry_branches(frame):
-    dg0 = delay_geometry(0.0, frame)
-    assert (dg0.k, dg0.l) == (0, 0) and np.isclose(abs(dg0.b), 1.0)
-    inside_cp = delay_geometry(0.9 * frame.t_cp, frame)
-    assert inside_cp.k == 0 and inside_cp.l == 0
-    beyond = delay_geometry(frame.t_cp + 0.5 * frame.t_symbol, frame)
-    assert beyond.k == 0 and 0 < beyond.l <= frame.m_subcarriers
-    two_syms = delay_geometry(2.2 * frame.t_total, frame)
-    assert two_syms.k == 2
-    assert np.isclose(abs(two_syms.b), 1.0)
-    with pytest.raises(ValueError):
-        delay_geometry(-1e-9, frame)
-    with pytest.raises(ValueError):
-        delay_geometry(frame.t_slot * 1.01, frame)
-
 
 def test_tx_baseband_matches_modulator(frame, rng):
     grid = np.zeros((32, 8), dtype=complex)
@@ -71,6 +55,14 @@ def test_tx_baseband_support(frame, rng):
 # ---------------------------------------------------------------------------
 # channel operator
 # ---------------------------------------------------------------------------
+
+def test_operator_rejects_delay_outside_slot(frame, rng):
+    pair = _random_pair(frame, rng)
+    with pytest.raises(ValueError):
+        apply_channel_operator(-1e-9, 0.0, pair, frame)
+    with pytest.raises(ValueError):
+        apply_channel_operator(frame.t_slot * 1.01, 0.0, pair, frame)
+
 
 def test_operator_identity(frame, rng):
     pair = _random_pair(frame, rng)
@@ -170,7 +162,7 @@ def test_tackled_noiseless_beyond_cp(frame, rng):
     nu = 0.31 * frame.delta_f                    # strong ICI
     alpha = 0.8 * np.exp(1j * 0.4)
     y = alpha * apply_channel_operator(tau, nu, pair, frame)
-    est, a_hat = tackled_estimate(y, pair, frame, nu_max=0.5 * frame.delta_f)
+    [(est, a_hat)] = successive_cancellation(y, pair, frame, 1, nu_max=0.5 * frame.delta_f)
     d_tau = frame.t_symbol / 32
     assert abs(est.tau_hat - tau) < 1e-4 * d_tau
     assert abs(est.nu_hat - nu) < 1e-3 / (8 * frame.t_total)
@@ -184,19 +176,17 @@ def test_coarse_scan_matches_matched_objective_on_every_node(frame, rng):
     y = 0.7 * apply_channel_operator(2.3 * frame.t_total, -0.4 * frame.delta_f, pair, frame)
     y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
     _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, nu_max=1.5 / frame.t_total)
-    branches = {(dg.k > 0, dg.l > 0) for dg in (delay_geometry(t, frame) for t in tau_grid)}
-    assert (True, True) in branches
+    # some node lies past a whole symbol and past the CP within its symbol
+    assert np.any((tau_grid >= frame.t_total)
+                  & (np.mod(tau_grid, frame.t_total) > frame.t_cp))
     assert nu_grid.min() < 0 and np.ptp(nu_grid) > 1.0 / frame.t_total
-    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
-    objective = matched_objective(y, pair, frame)
-    direct = np.array([[objective(t, v)[0] for v in nu_grid] for t in tau_grid])
-    np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
+    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
 
 
 def _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid):
     scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
     objective = matched_objective(y, pair, frame)
-    direct = np.array([[objective(t, v)[0] for v in nu_grid] for t in tau_grid])
+    direct = np.array([[objective(t, v) for v in nu_grid] for t in tau_grid])
     np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
 
 
@@ -281,7 +271,7 @@ def test_tackled_agrees_with_unaware_when_models_coincide(frame, rng):
     tau = m0 / (32 * frame.delta_f)
     assert tau <= frame.t_cp
     y = apply_channel_operator(tau, 0.0, pair, frame)
-    est_t, _ = tackled_estimate(y, pair, frame, tau_max=frame.t_cp)
+    est_t = tackled_estimate(y, pair, frame, tau_max=frame.t_cp)
     est_u = unaware_estimate_peaks(y, pair, frame, 1, tau_max=frame.t_cp)[0]
     d_tau = frame.t_symbol / 32
     assert abs(est_t.tau_hat - est_u.tau_hat) < 1e-6 * d_tau
@@ -360,10 +350,10 @@ def test_resolve_collapsed_coeffs(rng):
     assert np.isclose(abs(scene.targets[0].coeff), np.sqrt(0.1 * 4.0))
 
 
-def test_matched_objective_alpha(frame, rng):
+def test_successive_cancellation_fits_alpha(frame, rng):
     pair = _random_pair(frame, rng)
     tau, nu = 0.6 * frame.t_total, 0.0
     alpha = 1.2 - 0.7j
     y = alpha * apply_channel_operator(tau, nu, pair, frame)
-    val, a_hat = matched_objective(y, pair, frame)(tau, nu)
+    [(_, a_hat)] = successive_cancellation(y, pair, frame, 1)
     assert np.isclose(a_hat, alpha, atol=1e-12)
