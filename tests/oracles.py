@@ -74,3 +74,72 @@ def random_semi_unitary(rows, cols, rng):
     a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, _ = np.linalg.qr(a)
     return q[:, :cols]
+
+
+# ---------------------------------------------------------------------------
+# Hybrid precoding: dense textbook definitions, one subcarrier at a time
+# ---------------------------------------------------------------------------
+
+def weighted_objective_dense(comm_opt, sense_opt, eta, f_rf, f_bb):
+    """(1/M) sum_m eta||F_c[m] - F_RF F_BB[m]||^2 + (1-eta)||F_s - F_RF F_BB[m]||^2."""
+    total = 0.0
+    for c, d in zip(comm_opt, f_bb):
+        prod = f_rf @ d
+        total += (eta * np.linalg.norm(c - prod) ** 2
+                  + (1.0 - eta) * np.linalg.norm(sense_opt - prod) ** 2)
+    return total / len(f_bb)
+
+
+def procrustes_dense(comm_opt, sense_opt, eta, f_rf):
+    """argmin ||G[m] - B F_BB||_F over F_BB^H F_BB = I, from the stacked targets.
+
+    G[m] = [sqrt(eta) F_c[m]; sqrt(1-eta) F_s] and B = [sqrt(eta) F_RF;
+    sqrt(1-eta) F_RF]. The minimizer is U V^H with U S V^H the thin SVD of B^H G[m].
+    """
+    b = np.vstack([np.sqrt(eta) * f_rf, np.sqrt(1.0 - eta) * f_rf])
+    out = []
+    for c in comm_opt:
+        g = np.vstack([np.sqrt(eta) * c, np.sqrt(1.0 - eta) * sense_opt])
+        u, _, vh = np.linalg.svd(b.conj().T @ g, full_matrices=False)
+        out.append(u @ vh)
+    return np.stack(out)
+
+
+def phase_update_dense(comm_opt, sense_opt, eta, f_bb, mask, prev):
+    """Entrywise phase of sum_m (eta F_c[m] + (1-eta) F_s) F_BB[m]^H on the mask.
+
+    Zero-magnitude entries on the mask keep ``prev``; entries off it are zero.
+    """
+    t = np.zeros(mask.shape, dtype=complex)
+    for c, d in zip(comm_opt, f_bb):
+        t += (eta * c + (1.0 - eta) * sense_opt) @ d.conj().T
+    out = np.zeros(mask.shape, dtype=complex)
+    for i, j in zip(*np.nonzero(mask)):
+        out[i, j] = t[i, j] / abs(t[i, j]) if t[i, j] != 0 else prev[i, j]
+    return out
+
+
+def normalized_lstsq_dense(f_rf, weighted):
+    """sqrt(ns) X[m] / ||F_RF X[m]||_F with X[m] the least-squares solution of F_RF X = W[m]."""
+    out = []
+    for w in weighted:
+        x = np.linalg.lstsq(f_rf, w, rcond=None)[0]
+        out.append(np.sqrt(w.shape[1]) * x / np.linalg.norm(f_rf @ x))
+    return np.stack(out)
+
+
+def spectral_efficiency_dense(channel, tx, rx, rho, sigma2):
+    """Subcarrier mean of log2 det(I + rho/ns R_n^-1 C^H H F F^H H^H C), dense H[m].
+
+    Zero combiner columns carry neither signal nor noise, so they are dropped
+    before the noise covariance R_n = sigma^2 C^H C is inverted.
+    """
+    ns = tx.shape[2]
+    rates = []
+    for m in range(tx.shape[0]):
+        c = rx[m][:, np.linalg.norm(rx[m], axis=0) > 0]
+        eff = c.conj().T @ channel.matrix(m) @ tx[m]
+        r_n = sigma2 * c.conj().T @ c
+        mat = np.eye(c.shape[1]) + rho / ns * np.linalg.solve(r_n, eff @ eff.conj().T)
+        rates.append(np.log2(np.linalg.det(mat).real))
+    return float(np.mean(rates))

@@ -1,9 +1,10 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from thzisac.channel import sample_comm_channel
+from thzisac.channel import ModelMismatchWarning, sample_comm_channel
 from thzisac.geometry import UpaGeometry, dft_codebook
 from thzisac.precoding import (PrecodingTargets, SwitchMatrix,
                                default_switch_pattern, finalize_digital,
@@ -14,7 +15,9 @@ from thzisac.precoding import (PrecodingTargets, SwitchMatrix,
                                weighted_objective)
 from thzisac.waveform import FrameConfig
 
-from oracles import random_semi_unitary
+from oracles import (normalized_lstsq_dense, phase_update_dense, procrustes_dense,
+                     random_semi_unitary, spectral_efficiency_dense,
+                     weighted_objective_dense)
 
 
 @pytest.fixture
@@ -371,3 +374,127 @@ def test_beampattern_power_conservation(rng):
         lin = transmit_beampattern(pre.analog, pre.digital, grid, geom, db=False)
         totals.append(np.mean(lin))
     assert max(totals) / min(totals) < 1.01
+
+
+# ---------------------------------------------------------------------------
+# RF-domain kernels against their dense definitions
+# ---------------------------------------------------------------------------
+
+ORACLE_RTOL = 1e-10
+ETAS = (0.0, 0.3, 1.0)
+STRUCTURES = ("aosa", "fc")
+
+
+def _assert_rel(got, want, rtol=ORACLE_RTOL):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+def _oracle_case(rng, eta, structure, n_rf=4, k_t=3, ns=3, m_count=5):
+    """Random targets and a random analog precoder on an AoSA or FC switch.
+
+    The sensing target is full rank here, so the Procrustes minimizer is unique
+    at every eta; ns < n_rf.
+    """
+    sw = default_switch_pattern(n_rf, n_rf if structure == "aosa" else n_rf * n_rf, k_t)
+    comm = np.stack([random_semi_unitary(sw.n_t, ns, rng) for _ in range(m_count)])
+    targets = PrecodingTargets(comm, random_semi_unitary(sw.n_t, ns, rng), eta)
+    mask = sw.expand()
+    f_rf = np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)
+    return targets, sw, f_rf
+
+
+def _random_digital(rng, m_count, n_rf, ns):
+    return rng.standard_normal((m_count, n_rf, ns)) + 1j * rng.standard_normal((m_count, n_rf, ns))
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("eta", ETAS)
+def test_weighted_objective_matches_dense(eta, structure, rng):
+    targets, sw, f_rf = _oracle_case(rng, eta, structure)
+    f_bb = _random_digital(rng, 5, sw.n_rf, 3)
+    want = weighted_objective_dense(targets.comm_opt, targets.sense_opt, eta, f_rf, f_bb)
+    assert np.isclose(weighted_objective(targets, f_rf, f_bb), want, rtol=ORACLE_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("eta", ETAS)
+def test_digital_update_matches_procrustes(eta, structure, rng):
+    targets, sw, f_rf = _oracle_case(rng, eta, structure)
+    want = procrustes_dense(targets.comm_opt, targets.sense_opt, eta, f_rf)
+    _assert_rel(vec_digital_update(targets, f_rf), want)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_digital_update_rank_one_sense_attains_nuclear_norm(structure, rng):
+    # at eta = 0 the shipped rank-one scan target leaves the minimizer's null
+    # part free; the attained Re tr(F_BB^H F_RF^H F_s) is still the nuclear norm
+    targets, sw, f_rf = _oracle_case(rng, 0.0, structure)
+    sense = np.tile(random_semi_unitary(sw.n_t, 1, rng), (1, 3))
+    targets = PrecodingTargets(targets.comm_opt, sense, 0.0)
+    corr = f_rf.conj().T @ sense
+    best = np.linalg.svd(corr, compute_uv=False).sum()
+    for f_bb in vec_digital_update(targets, f_rf):
+        np.testing.assert_allclose(f_bb.conj().T @ f_bb, np.eye(3), atol=1e-12)
+        assert np.isclose(np.real(np.trace(f_bb.conj().T @ corr)), best, rtol=ORACLE_RTOL)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("eta", ETAS)
+def test_analog_update_matches_dense(eta, structure, rng):
+    targets, sw, f_rf = _oracle_case(rng, eta, structure)
+    f_bb = _random_digital(rng, 5, sw.n_rf, 3)
+    want = phase_update_dense(targets.comm_opt, targets.sense_opt, eta, f_bb,
+                              sw.expand(), f_rf)
+    _assert_rel(vec_analog_update(targets, f_bb, sw, prev=f_rf), want)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("eta", ETAS)
+def test_least_squares_steps_match_dense(eta, structure, rng):
+    targets, sw, f_rf = _oracle_case(rng, eta, structure)
+    comm, sense = targets.comm_opt, targets.sense_opt
+    # VEC weights the targets by (eta, 1-eta)
+    _assert_rel(finalize_digital(targets, f_rf),
+                normalized_lstsq_dense(f_rf, [eta * c + (1 - eta) * sense for c in comm]))
+    # SCA by (sqrt(eta), sqrt(1-eta)), against its codebook scan column
+    cb = dft_codebook(UpaGeometry(4, 3))
+    pre = sca_hybrid_precoding(comm, cb, 2, eta, f_rf, sw)
+    scan = optimal_sensing_precoder(cb, 2, 3)
+    want = normalized_lstsq_dense(
+        pre.analog, [np.sqrt(eta) * c + np.sqrt(1 - eta) * scan for c in comm])
+    _assert_rel(pre.digital, want)
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_spectral_efficiency_matches_dense(structure, small_setup, rng):
+    geom, frame, chan = small_setup
+    f, c, _ = optimal_fully_digital(chan, 3)
+    for rho in (0.3, 40.0):
+        assert np.isclose(spectral_efficiency(chan, f, c, rho, 0.7),
+                          spectral_efficiency_dense(chan, f, c, rho, 0.7), rtol=ORACLE_RTOL)
+    sw = default_switch_pattern(4, 4 if structure == "aosa" else 16, 8)
+    mask = sw.expand()
+    pre = vec_hybrid_precoding(PrecodingTargets(f, optimal_sensing_precoder(
+        dft_codebook(geom), 2, 3), 0.5), sw, rng=rng)
+    comb = np.stack([np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)[:, :3]
+                     for _ in range(8)])
+    tx = pre.tx_matrices()
+    assert np.isclose(spectral_efficiency(chan, tx, comb, 2.0, 1.3),
+                      spectral_efficiency_dense(chan, tx, comb, 2.0, 1.3), rtol=ORACLE_RTOL)
+
+
+def test_spectral_efficiency_zero_column_combiner(small_setup):
+    # a combiner with a zero column on subcarriers 1 and 4: one ridge warning
+    # each, and the rate of the combiner without that column
+    geom, frame, chan = small_setup
+    f, c, _ = optimal_fully_digital(chan, 3)
+    c = c.copy()
+    c[1, :, 2] = 0
+    c[4, :, 0] = 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        se = spectral_efficiency(chan, f, c, 0.3, 1.0)
+    ridge = [w for w in caught if issubclass(w.category, ModelMismatchWarning)
+             and "singular combined-noise covariance" in str(w.message)]
+    assert len(ridge) == 2 and len(caught) == 2
+    assert np.isclose(se, spectral_efficiency_dense(chan, f, c, 0.3, 1.0), rtol=ORACLE_RTOL)
