@@ -13,7 +13,7 @@ precoders/combiners.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -239,13 +239,16 @@ def resolve_coeffs(scene: SensingScene, tx_gains: np.ndarray, nt: int,
     (1/(M*Ns)) sum_m ||a_t^T(theta_p) F_RF F_BB[m]||^2, under the designed beam.
     The per-antenna received signal power is then (Nt/P)|h_p|^2 tx_gains[p], and
     |h_p| is chosen to make its ratio to the noise power hit effective_snr_db.
-    Phases are uniform. Targets with an explicit coeff are left alone.
+    Phases are uniform. Targets with an explicit coeff keep it. Returns a new
+    scene of copied targets; the input scene is not modified.
     """
     p_count = scene.n_targets
+    targets = []
     for p, tgt in enumerate(scene.targets):
-        if tgt.coeff is not None:
-            continue
-        snr_lin = 10.0 ** (tgt.effective_snr_db / 10.0)
-        mag = np.sqrt(snr_lin * scene.noise_power * p_count / (nt * tx_gains[p]))
-        tgt.coeff = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return scene
+        coeff = tgt.coeff
+        if coeff is None:
+            snr_lin = 10.0 ** (tgt.effective_snr_db / 10.0)
+            mag = np.sqrt(snr_lin * scene.noise_power * p_count / (nt * tx_gains[p]))
+            coeff = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        targets.append(replace(tgt, coeff=coeff))
+    return replace(scene, targets=targets)

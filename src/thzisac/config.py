@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import numbers
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -93,24 +94,24 @@ class SceneSpec:
 
 @dataclass
 class TradeoffSpec:
-    eta_grid: list = field(default_factory=lambda: [round(0.1 * k, 1) for k in range(11)])
+    eta_grid: list[float] = field(default_factory=lambda: [round(0.1 * k, 1) for k in range(11)])
     snr_db: float = -20.0
-    structures: list = field(default_factory=lambda: [4, 8, 16])
+    structures: list[int] = field(default_factory=lambda: [4, 8, 16])
     sensing_azimuth_deg: float = -65.0
     algorithms: list = field(default_factory=lambda: ["vec", "sca"])
 
 
 @dataclass
 class SeSweepSpec:
-    snr_grid_db: list = field(default_factory=lambda: [-40, -35, -30, -25, -20, -15, -10])
-    etas: list = field(default_factory=lambda: [0.6, 1.0])
-    structures: list = field(default_factory=lambda: [4, 8, 16])
+    snr_grid_db: list[float] = field(default_factory=lambda: [-40, -35, -30, -25, -20, -15, -10])
+    etas: list[float] = field(default_factory=lambda: [0.6, 1.0])
+    structures: list[int] = field(default_factory=lambda: [4, 8, 16])
     sensing_azimuth_deg: float = -65.0
 
 
 @dataclass
 class BeamScanSpec:
-    slots: list = field(default_factory=lambda: [3, 4, 5, 6])
+    slots: list[int] = field(default_factory=lambda: [3, 4, 5, 6])
     eta: float = 0.5
     n_closed: int = 16
     angle_step_deg: float = 0.1
@@ -119,7 +120,7 @@ class BeamScanSpec:
 @dataclass
 class McRmseSpec:
     eta: float = 0.4
-    snr_grid_db: list = field(default_factory=lambda: [-10.0, -5.0, 0.0])
+    snr_grid_db: list[float] = field(default_factory=lambda: [-10.0, -5.0, 0.0])
     music_step_deg: float = 0.01
     n_closed: int = 4
     delta_f_khz: float = 3840.0
@@ -206,8 +207,44 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     return cfg
 
 
-def _validate(cfg: ExperimentConfig):
+_NUMBER_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
+
+
+def _type_problems(spec, path: str = "") -> list:
+    """Every numeric field or list entry whose value does not match its declared type.
+
+    An int field takes integers only, a float field any real number; bools are
+    neither. Nested sections and target lists are walked recursively.
+    """
     problems = []
+    for name, kind in typing.get_type_hints(type(spec)).items():
+        value = getattr(spec, name)
+        here = f"{path}.{name}" if path else name
+        if dataclasses.is_dataclass(value):
+            problems.extend(_type_problems(value, here))
+        elif name in _LIST_FIELDS:
+            for i, item in enumerate(value):
+                problems.extend(_type_problems(item, f"{here}[{i}]"))
+        elif typing.get_origin(kind) is list and typing.get_args(kind)[0] in _NUMBER_KINDS:
+            number, noun = _NUMBER_KINDS[typing.get_args(kind)[0]]
+            if not isinstance(value, list):
+                problems.append(f"{here} must be a list, got {value!r}")
+                continue
+            problems.extend(f"{here}[{i}] must be {noun}, got {item!r}"
+                            for i, item in enumerate(value)
+                            if isinstance(item, bool) or not isinstance(item, number))
+        elif kind in _NUMBER_KINDS:
+            number, noun = _NUMBER_KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, number):
+                problems.append(f"{here} must be {noun}, got {value!r}")
+    return problems
+
+
+def _validate(cfg: ExperimentConfig):
+    problems = _type_problems(cfg)
+    if problems:
+        # the range checks below compare numbers and would fail on these
+        raise ConfigError("; ".join(problems))
     arr = cfg.arrays
     if arr.tx_geom().n_elements % arr.n_rf_tx:
         problems.append("arrays: transmit elements not divisible by n_rf_tx")
@@ -238,10 +275,7 @@ def _validate(cfg: ExperimentConfig):
     else:
         problems.extend(_range_problems(cfg))
     for name, low in (("trials", 1), ("seed", 0)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            problems.append(f"{name} must be an integer, got {value!r}")
-        elif value < low:
+        if getattr(cfg, name) < low:
             problems.append(f"{name} must be >= {low}")
     for name, etas in (("tradeoff", cfg.tradeoff.eta_grid), ("se_sweep", cfg.se_sweep.etas),
                        ("beam_scan", [cfg.beam_scan.eta]), ("mc_rmse", [cfg.mc_rmse.eta])):

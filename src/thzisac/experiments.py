@@ -310,7 +310,7 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
                                         effective_snr_db=snr_db) for t in specs]
             scene = ch.SensingScene(targets=targets, noise_power=cfg.scene.noise_power)
             gains = _target_tx_gains(targets, pre, tx_geom, ns)
-            ch.resolve_coeffs(scene, gains, tx_geom.n_elements, rng)
+            scene = ch.resolve_coeffs(scene, gains, tx_geom.n_elements, rng)
             symbols = generate_symbols(frame, ns, rng)
             search = sensing_window(q, tx_geom).mirrored()
             comb = sensing_rx.receive_combiner(search, arr.n_rf_rx, rx_geom, rng,

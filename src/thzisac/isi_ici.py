@@ -16,7 +16,7 @@ target, with beamforming gains folded in by the caller.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,13 +139,17 @@ def resolve_collapsed_coeffs(scene: SensingScene, rng: np.random.Generator) -> S
     """Per-sample effective SNR to coefficient, for the spatially collapsed model.
 
     Assumes unit-power transmit grid entries: |alpha|^2 = snr * noise_power.
+    Returns a new scene of copied targets; the input scene is not modified.
     """
+    targets = []
     for tgt in scene.targets:
-        if tgt.coeff is None:
+        coeff = tgt.coeff
+        if coeff is None:
             snr_lin = 10.0 ** (tgt.effective_snr_db / 10.0)
             mag = np.sqrt(snr_lin * scene.noise_power)
-            tgt.coeff = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return scene
+            coeff = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        targets.append(replace(tgt, coeff=coeff))
+    return replace(scene, targets=targets)
 
 
 def cp_limited_range(frame: FrameConfig) -> float:

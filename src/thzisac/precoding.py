@@ -74,6 +74,22 @@ def default_switch_pattern(n_rf: int, n_closed: int, k_t: int) -> SwitchMatrix:
     return SwitchMatrix(closed=closed, k_t=k_t)
 
 
+def _subcarrier_minor(stack: np.ndarray) -> np.ndarray:
+    """An (M, n, ns) stack stored in (n, M, ns) order; no copy if it already is."""
+    return np.ascontiguousarray(stack.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+def _apply_left(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """mat @ stack[m] for every m, (M, rows, ns), as one product with [stack[0] ... stack[M-1]].
+
+    That n x (M ns) concatenation is a view of a subcarrier-minor stack; any
+    other layout is copied into it first.
+    """
+    m_count, n, ns = stack.shape
+    prod = mat @ stack.transpose(1, 0, 2).reshape(n, m_count * ns)
+    return prod.reshape(mat.shape[0], m_count, ns).transpose(1, 0, 2)
+
+
 @dataclass
 class PrecoderSet:
     """Analog precoder (nt, n_rf), per-subcarrier digital precoders (M, n_rf, ns)."""
@@ -89,8 +105,8 @@ class PrecoderSet:
         return self.analog @ self.digital[m]
 
     def tx_matrices(self) -> np.ndarray:
-        """All effective precoders stacked (M, nt, ns)."""
-        return np.einsum("tr,mrs->mts", self.analog, self.digital)
+        """All effective precoders stacked (M, nt, ns), subcarrier-minor."""
+        return _apply_left(self.analog, self.digital)
 
     def beam_response(self, a_t: np.ndarray) -> np.ndarray:
         """Per-subcarrier stream gains a_t^T F_RF F_BB[m] toward steering a_t, (M, ns)."""
@@ -106,7 +122,8 @@ def optimal_fully_digital(channel, ns: int):
 
     ``channel`` is either a CommChannel (factored path, arbitrary array sizes)
     or a sequence of dense Nr x Nt matrices. Returns (F, C, S): arrays of shape
-    (M, nt, ns), (M, nr, ns), (M, ns).
+    (M, nt, ns), (M, nr, ns), (M, ns). On the factored path F is stored
+    subcarrier-minor, as PrecodingTargets keeps it, and built by one product.
     """
     if isinstance(channel, CommChannel):
         return _svd_factored(channel, ns)
@@ -131,20 +148,23 @@ def _svd_factored(channel: CommChannel, ns: int):
     if p < ns:
         warnings.warn("channel rank below stream count; zero singular values kept",
                       ModelMismatchWarning)
-    f_list, c_list, s_list = [], [], []
-    for m in range(gains.shape[1]):
+    m_count, k = gains.shape[1], min(ns, p)
+    # right singular vectors in the QR basis, subcarrier-minor: (p, M, ns)
+    v = np.zeros((p, m_count, ns), dtype=complex)
+    c = np.zeros((m_count, q_r.shape[0], ns), dtype=complex)
+    s_out = np.zeros((m_count, ns))
+    for m in range(m_count):
         mid = r_r @ np.diag(gains[:, m]) @ r_t.conj().T
         u, s, vh = np.linalg.svd(mid)
-        k = min(ns, p)
-        f = q_t @ vh[:k].conj().T
-        c = q_r @ u[:, :k]
-        if k < ns:
-            f = _pad_orthonormal(f, ns)
-            c = _pad_orthonormal(c, ns)
-        f_list.append(f)
-        c_list.append(c)
-        s_list.append(np.pad(s[:k], (0, ns - k)))
-    return np.stack(f_list), np.stack(c_list), np.stack(s_list)
+        v[:, m, :k] = vh[:k].conj().T
+        np.matmul(q_r, u[:, :k], out=c[m, :, :k])
+        s_out[m, :k] = s[:k]
+    f = (q_t @ v.reshape(p, -1)).reshape(-1, m_count, ns).transpose(1, 0, 2)
+    if k < ns:
+        for m in range(m_count):
+            f[m] = _pad_orthonormal(f[m, :, :k], ns)
+            c[m] = _pad_orthonormal(c[m, :, :k], ns)
+    return f, c, s_out
 
 
 def _pad_orthonormal(mat: np.ndarray, ns: int) -> np.ndarray:
@@ -169,26 +189,55 @@ def optimal_sensing_precoder(codebook: SensingCodebook, q: int, ns: int) -> np.n
 # VEC alternating solver
 # ---------------------------------------------------------------------------
 
+def _frobenius_sq(a: np.ndarray) -> float:
+    flat = a.ravel(order="K")  # a view in memory order, also when subcarrier-minor
+    return float(np.vdot(flat, flat).real)
+
+
 @dataclass
 class PrecodingTargets:
-    """Weighted design targets: comm SVD precoders, scan column, and weight eta."""
+    """Weighted design targets: comm SVD precoders, scan column, and weight eta.
+
+    ``comm_opt`` is kept subcarrier-minor (optimal_fully_digital already returns
+    it so), so each VEC step reads all M targets as one nt x (M ns) matrix.
+    """
 
     comm_opt: np.ndarray      # (M, nt, ns)
     sense_opt: np.ndarray     # (nt, ns)
     eta: float
+    # sum_m ||F_c[m]||_F^2 and ||F_s||_F^2, the constant terms of the objective
+    energies: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
+        self.comm_opt = _subcarrier_minor(self.comm_opt)
+        self.energies = (_frobenius_sq(self.comm_opt), _frobenius_sq(self.sense_opt))
+
+
+def _rf_projections(targets: PrecodingTargets, f_rf: np.ndarray):
+    """F_RF^H F_c[m] stacked (M, n_rf, ns) and F_RF^H F_s (n_rf, ns)."""
+    f_rf_h = f_rf.conj().T
+    return _apply_left(f_rf_h, targets.comm_opt), f_rf_h @ targets.sense_opt
 
 
 def weighted_objective(targets: PrecodingTargets, f_rf: np.ndarray,
                        f_bb: np.ndarray) -> float:
-    """(1/M) sum_m eta||F_c - F F_BB||^2 + (1-eta)||F_s - F F_BB||^2."""
-    prod = np.einsum("tr,mrs->mts", f_rf, f_bb)
-    e_c = np.sum(np.abs(targets.comm_opt - prod) ** 2, axis=(1, 2))
-    e_s = np.sum(np.abs(targets.sense_opt[None] - prod) ** 2, axis=(1, 2))
-    return float(np.mean(targets.eta * e_c + (1.0 - targets.eta) * e_s))
+    """(1/M) sum_m eta||F_c - F F_BB||^2 + (1-eta)||F_s - F F_BB||^2.
+
+    Each distance is evaluated in the RF domain as ||F_c||^2 - 2 Re tr(F_c^H F
+    F_BB) + tr(F_BB^H F^H F F_BB), from the n_rf x ns projections F^H F_c and
+    F^H F_s and the n_rf x n_rf Gram matrix, so no (M, nt, ns) product is formed.
+    """
+    eta, m_count = targets.eta, f_bb.shape[0]
+    p_c, p_s = _rf_projections(targets, f_rf)
+    power = np.vdot(f_bb, (f_rf.conj().T @ f_rf) @ f_bb).real
+    cross_c = np.vdot(p_c, f_bb).real
+    cross_s = np.vdot(p_s, f_bb.sum(axis=0)).real
+    comm_energy, sense_energy = targets.energies
+    e_c = comm_energy - 2.0 * cross_c + power
+    e_s = m_count * sense_energy - 2.0 * cross_s + power
+    return float((eta * e_c + (1.0 - eta) * e_s) / m_count)
 
 
 def vec_digital_update(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
@@ -199,15 +248,11 @@ def vec_digital_update(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarra
     precoder. Returns (M, n_rf, ns).
     """
     eta = targets.eta
-    # G^H B = eta F_c^H F_RF + (1-eta) F_s^H F_RF without forming the stacks
-    gc = np.einsum("mts,tr->msr", targets.comm_opt.conj(), f_rf)
-    gs = targets.sense_opt.conj().T @ f_rf
-    ghb = eta * gc + (1.0 - eta) * gs[None]
-    out = np.empty((ghb.shape[0], f_rf.shape[1], targets.comm_opt.shape[2]), dtype=complex)
-    for m in range(ghb.shape[0]):
-        u, _, vh = np.linalg.svd(ghb[m], full_matrices=False)
-        out[m] = vh.conj().T @ u.conj().T
-    return out
+    # B^H G = eta F_RF^H F_c + (1-eta) F_RF^H F_s without forming the stacks
+    p_c, p_s = _rf_projections(targets, f_rf)
+    ghb = (eta * p_c + (1.0 - eta) * p_s).conj().swapaxes(1, 2)
+    u, _, vh = np.linalg.svd(ghb, full_matrices=False)
+    return vh.conj().swapaxes(1, 2) @ u.conj().swapaxes(1, 2)
 
 
 def vec_analog_update(targets: PrecodingTargets, f_bb: np.ndarray,
@@ -219,8 +264,13 @@ def vec_analog_update(targets: PrecodingTargets, f_bb: np.ndarray,
     their previous phase. Exact minimizer when F_BB[m] is square-unitary.
     """
     eta = targets.eta
-    t_c = np.einsum("mts,mrs->tr", targets.comm_opt, f_bb.conj())
-    t_s = targets.sense_opt @ f_bb.conj().sum(axis=0).T
+    m_count, nt, ns = targets.comm_opt.shape
+    # sum_m F_c[m] F_BB[m]^H = [F_c[0] ... F_c[M-1]] [F_BB[0]^H; ...; F_BB[M-1]^H],
+    # the first factor a view of the subcarrier-minor targets
+    f_bb_h = f_bb.conj().swapaxes(1, 2)
+    t_c = (targets.comm_opt.transpose(1, 0, 2).reshape(nt, m_count * ns)
+           @ f_bb_h.reshape(m_count * ns, -1))
+    t_s = targets.sense_opt @ f_bb_h.sum(axis=0)
     t = eta * t_c + (1.0 - eta) * t_s
     mask = switch.expand()
     out = np.zeros_like(t)
@@ -239,22 +289,21 @@ def _random_phase_analog(switch: SwitchMatrix, rng: np.random.Generator) -> np.n
     return np.where(mask, phases, 0.0)
 
 
-def _normalized_least_squares(f_rf: np.ndarray, weighted) -> np.ndarray:
+def _normalized_least_squares(f_rf: np.ndarray, comm_opt: np.ndarray, w_c: float,
+                              sense_opt: np.ndarray, w_s: float) -> np.ndarray:
     """Digital precoders F_BB[m] = sqrt(ns) F_RF^+ W[m] / ||F_RF F_RF^+ W[m]||_F.
 
-    ``weighted`` yields the already-weighted (nt, ns) target W[m] of each
-    subcarrier in turn, so no (M, nt, ns) temporary is formed. The result,
-    (M, n_rf, ns), meets ||F_RF F_BB[m]||_F^2 = ns exactly.
+    The weighted target W[m] = w_c F_c[m] + w_s F_s is never formed: F_RF^+ is
+    applied to F_c and F_s separately, batched over subcarriers, and each norm
+    is taken through the n_rf x n_rf Gram matrix. The result, (M, n_rf, ns),
+    meets ||F_RF F_BB[m]||_F^2 = ns exactly.
     """
     pinv = np.linalg.pinv(f_rf)
-    out = []
-    for w in weighted:
-        f_ls = pinv @ w
-        norm = np.linalg.norm(f_rf @ f_ls)
-        if norm == 0:
-            raise ValueError("analog precoder annihilates the design target")
-        out.append(np.sqrt(w.shape[1]) / norm * f_ls)
-    return np.stack(out)
+    f_ls = w_c * _apply_left(pinv, comm_opt) + w_s * (pinv @ sense_opt)
+    norm_sq = np.sum((f_ls.conj() * ((f_rf.conj().T @ f_rf) @ f_ls)).real, axis=(1, 2))
+    if np.any(norm_sq <= 0):
+        raise ValueError("analog precoder annihilates the design target")
+    return np.sqrt(f_ls.shape[2] / norm_sq)[:, None, None] * f_ls
 
 
 def finalize_digital(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
@@ -264,8 +313,7 @@ def finalize_digital(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
     alternating objective.
     """
     eta = targets.eta
-    return _normalized_least_squares(
-        f_rf, (eta * c + (1.0 - eta) * targets.sense_opt for c in targets.comm_opt))
+    return _normalized_least_squares(f_rf, targets.comm_opt, eta, targets.sense_opt, 1.0 - eta)
 
 
 def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
@@ -330,8 +378,12 @@ def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int
         for j in range(switch.n_rf):
             if switch.closed[i, j]:
                 blk = slice(i * k_t, (i + 1) * k_t)
-                errs.append((np.linalg.norm(scan_phases[blk] - comm_analog[blk, j]), i, j))
-    errs.sort(key=lambda e: (e[0], e[1], e[2]))
+                err = np.linalg.norm(scan_phases[blk] - comm_analog[blk, j]) / np.sqrt(k_t)
+                errs.append((err, i, j))
+    # at elevation pi/2 the steering phase is constant along the array's z axis,
+    # so the blocks of one column repeat each other and their errors tie up to
+    # round-off: compare errors to 1e-9, then by (i, j)
+    errs.sort(key=lambda e: (round(e[0], 9), e[1], e[2]))
 
     f_rf = comm_analog.copy()
     for _, i, j in errs[:k_s]:
@@ -339,8 +391,8 @@ def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int
 
     # SCA weights the amplitudes by sqrt(eta), sqrt(1-eta)
     sense_opt = optimal_sensing_precoder(codebook, q, ns)
-    digital = _normalized_least_squares(
-        f_rf, (np.sqrt(eta) * c + np.sqrt(1.0 - eta) * sense_opt for c in comm_opt))
+    digital = _normalized_least_squares(f_rf, comm_opt, np.sqrt(eta),
+                                        sense_opt, np.sqrt(1.0 - eta))
     return PrecoderSet(analog=f_rf, digital=digital, switch=switch, converged=True)
 
 
@@ -353,26 +405,28 @@ def spectral_efficiency(channel: CommChannel, tx: np.ndarray, rx: np.ndarray,
     """Subcarrier-averaged log-det rate in bits/s/Hz.
 
     tx and rx hold the effective per-subcarrier precoders (M, nt, ns) and
-    combiners (M, nr, ns). The noise covariance sigma^2 C^H C is inverted with
-    a trace-scaled ridge when singular.
+    combiners (M, nr, ns); tx is read as one nt x (M ns) matrix, a view when
+    it is subcarrier-minor as tx_matrices and optimal_fully_digital return it.
+    The effective channels C^H H[m] F[m] come batched from the channel factors
+    as (C^H A_r) diag(G[:, m]) (A_t^H F[m]). A noise
+    covariance sigma^2 C^H C that is singular gets a trace-scaled ridge, with
+    one warning per such subcarrier.
     """
     m_count, _, ns = tx.shape
-    rate = 0.0
-    for m in range(m_count):
-        c = rx[m]
-        hf = channel.apply(m, tx[m])
-        eff = c.conj().T @ hf
-        r_n = sigma2 * (c.conj().T @ c)
-        try:
-            r_inv = np.linalg.inv(r_n)
-        except np.linalg.LinAlgError:
-            warnings.warn("singular combined-noise covariance; ridge added",
-                          ModelMismatchWarning)
-            r_inv = np.linalg.inv(r_n + 1e-12 * np.trace(r_n).real / ns * np.eye(ns))
-        mat = np.eye(ns) + (rho / ns) * r_inv @ eff @ eff.conj().T
-        sign, logdet = np.linalg.slogdet(mat)
-        rate += logdet / np.log(2.0)
-    return rate / m_count
+    a_r, a_t, gains = channel.factors()
+    left = (a_r.conj().T @ rx).conj().swapaxes(1, 2)
+    eff = (left * gains.T[:, None, :]) @ _apply_left(a_t.conj().T, tx)
+    # per-subcarrier Gram matrices: a batched product would conjugate a copy of rx
+    r_n = sigma2 * np.stack([c.conj().T @ c for c in rx])
+    singular = np.linalg.slogdet(r_n)[0] == 0
+    for m in np.flatnonzero(singular):
+        warnings.warn("singular combined-noise covariance; ridge added",
+                      ModelMismatchWarning)
+        r_n[m] += 1e-12 * np.trace(r_n[m]).real / ns * np.eye(ns)
+    r_inv = np.linalg.inv(r_n)
+    mat = np.eye(ns) + (rho / ns) * r_inv @ eff @ eff.conj().swapaxes(1, 2)
+    _, logdet = np.linalg.slogdet(mat)
+    return float(np.sum(logdet / np.log(2.0))) / m_count
 
 
 def transmit_beampattern(f_rf: np.ndarray, f_bb: np.ndarray, angles: np.ndarray,
@@ -386,9 +440,11 @@ def transmit_beampattern(f_rf: np.ndarray, f_bb: np.ndarray, angles: np.ndarray,
     """
     a_grid = steering_many(np.asarray(angles, dtype=float), elevation, geom)
     m_count, _, ns = f_bb.shape
+    # einsum, not matmul: a real f_rf (the identity of a fully digital
+    # reference) would otherwise be cast to a complex copy first
     proj = np.einsum("tg,tr->gr", a_grid.conj(), f_rf)
-    resp = np.einsum("gr,mrs->gms", proj, f_bb)
-    gain = geom.n_elements / (m_count * ns) * np.sum(np.abs(resp) ** 2, axis=(1, 2))
+    resp = _apply_left(proj, f_bb)
+    gain = geom.n_elements / (m_count * ns) * np.sum(np.abs(resp) ** 2, axis=(0, 2))
     if db:
         return 10.0 * np.log10(np.maximum(gain, 1e-30))
     return gain

@@ -136,9 +136,20 @@ def test_resolve_coeffs_sets_magnitude(rng):
     tgt = SensingTarget(range_m=5.0, velocity_mps=0.0, azimuth=0.1,
                         effective_snr_db=6.0)
     scene = SensingScene([tgt], noise_power=2.0)
-    resolve_coeffs(scene, tx_gains=np.array([0.5]), nt=64, rng=rng)
+    resolved = resolve_coeffs(scene, tx_gains=np.array([0.5]), nt=64, rng=rng)
     snr_lin = 10 ** 0.6
-    assert np.isclose(abs(tgt.coeff), np.sqrt(snr_lin * 2.0 * 1 / (64 * 0.5)))
+    assert np.isclose(abs(resolved.targets[0].coeff), np.sqrt(snr_lin * 2.0 * 1 / (64 * 0.5)))
+
+
+def test_resolve_coeffs_leaves_input_scene_unchanged(rng):
+    fixed = SensingTarget(range_m=7.0, velocity_mps=1.0, azimuth=0.2, coeff=0.5j)
+    free = SensingTarget(range_m=5.0, velocity_mps=0.0, azimuth=0.1, effective_snr_db=6.0)
+    scene = SensingScene([fixed, free], noise_power=2.0)
+    resolved = resolve_coeffs(scene, tx_gains=np.array([0.5, 0.5]), nt=64, rng=rng)
+    assert scene.targets == [fixed, free] and free.coeff is None
+    assert resolved is not scene and resolved.noise_power == 2.0
+    assert all(a is not b for a, b in zip(resolved.targets, scene.targets))
+    assert resolved.targets[0].coeff == 0.5j and resolved.targets[1].coeff is not None
 
 
 def test_target_validation():

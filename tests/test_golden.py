@@ -6,7 +6,10 @@ the config schema rather than the results.
 
 A change meant to alter results regenerates the files it alters with
     PYTHONPATH=src python tests/test_golden.py [case ...]
-(all cases when none is named) and says why in CHANGES.md.
+(all cases when none is named) and says why in CHANGES.md. A change meant to
+keep them reports how far they moved with
+    PYTHONPATH=src python tests/test_golden.py --drift [case ...]
+which prints each case's worst relative float drift and writes nothing.
 """
 
 import json
@@ -90,14 +93,59 @@ def assert_matches(got, want, where: str):
         assert type(got) is type(want) and got == want, f"{where}: {got!r} != golden {want!r}"
 
 
+def worst_drift(got, want, where: str = ""):
+    """(largest |got - want| / |want| over all float cells, where it occurs).
+
+    Equal values, NaN pairs included, drift 0. A structural or non-float
+    difference, or any change of a zero golden value, drifts inf.
+    """
+    if isinstance(want, dict) or isinstance(want, list):
+        same_shape = (type(got) is type(want) and len(got) == len(want)
+                      and (not isinstance(want, dict) or sorted(got) == sorted(want)))
+        if not same_shape:
+            return math.inf, where
+        keys = want if isinstance(want, dict) else range(len(want))
+        return max((worst_drift(got[k], want[k], f"{where}[{k!r}]") for k in keys),
+                   key=lambda d: d[0], default=(0.0, where))
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (got, want))
+    if isinstance(want, float) and numbers:
+        if got == want or (math.isnan(got) and math.isnan(want)):
+            return 0.0, where
+        return (abs(got - want) / abs(want) if want else math.inf), where
+    return (0.0 if type(got) is type(want) and got == want else math.inf), where
+
+
+def _golden(case: str) -> dict:
+    return json.loads((GOLDEN / f"{case}.json").read_text())
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_runner_matches_golden(case, tmp_path):
-    want = json.loads((GOLDEN / f"{case}.json").read_text())
-    assert_matches(_cells(runner_outputs(case, tmp_path)), _cells(want), case)
+    assert_matches(_cells(runner_outputs(case, tmp_path)), _cells(_golden(case)), case)
 
 
-if __name__ == "__main__":
-    wanted = sys.argv[1:] or CASES
+def test_worst_drift_measures_float_cells():
+    want = _cells(_golden("tradeoff"))
+    assert worst_drift(want, want)[0] == 0.0
+    got = json.loads(json.dumps(want))
+    got["tradeoff_summary.json"]["digital_se_bits"] *= 1 + 3e-12
+    drift, where = worst_drift(got, want)
+    assert math.isclose(drift, 3e-12, rel_tol=1e-3) and "digital_se_bits" in where
+    got["tradeoff.csv"].pop()
+    assert worst_drift(got, want)[0] == math.inf
+
+
+def test_drift_report_of_unchanged_case_is_zero(capsys):
+    # ici-demo does not touch precoding; its outputs equal the frozen file
+    before = (GOLDEN / "ici-demo.json").stat().st_mtime_ns
+    main(["--drift", "ici-demo"])
+    assert capsys.readouterr().out.split() == ["ici-demo", "0"]
+    assert (GOLDEN / "ici-demo.json").stat().st_mtime_ns == before
+
+
+def main(argv):
+    drift = argv[:1] == ["--drift"]
+    wanted = argv[drift:] or CASES
     unknown = sorted(set(wanted) - set(CASES))
     if unknown:
         sys.exit(f"unknown golden cases {unknown}; known: {CASES}")
@@ -105,5 +153,13 @@ if __name__ == "__main__":
     for case in wanted:
         with tempfile.TemporaryDirectory() as tmp:
             data = runner_outputs(case, Path(tmp))
+        if drift:
+            worst, where = worst_drift(_cells(data), _cells(_golden(case)))
+            print(f"{case} {worst:.3g}" + (f" {where}" if worst else ""))
+            continue
         (GOLDEN / f"{case}.json").write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
         print(f"wrote {GOLDEN / case}.json", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

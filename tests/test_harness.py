@@ -70,6 +70,24 @@ def test_validation_errors():
     with pytest.raises(ConfigError, match="isi_demo: range must be >= 0"):
         config_from_dict({"isi_demo": {"max_range_m": -1}})
     config_from_dict({"isi_demo": {"max_range_m": 780}, "ici_demo": {"max_range_m": 24900}})
+    # every numeric field and list entry is checked against its declared type
+    for data, message in (
+            ({"frame": {"cp_fraction": "x"}}, "frame.cp_fraction must be a number, got 'x'"),
+            ({"beam_scan": {"slots": ["a"]}}, r"beam_scan.slots\[0\] must be an integer"),
+            ({"mc_rmse": {"eta": "x"}}, "mc_rmse.eta must be a number, got 'x'"),
+            ({"tradeoff": {"eta_grid": [0.5, "a"]}}, r"tradeoff.eta_grid\[1\] must be a number"),
+            ({"tradeoff": {"snr_db": "x"}}, "tradeoff.snr_db must be a number, got 'x'"),
+            ({"frame": {"m_subcarriers": 64.5}}, "frame.m_subcarriers must be an integer, got 64.5"),
+            ({"beam_scan": {"eta": True}}, "beam_scan.eta must be a number, got True"),
+            ({"tradeoff": {"structures": [4, True]}}, r"tradeoff.structures\[1\] must be an int"),
+            ({"tradeoff": {"eta_grid": 0.5}}, "tradeoff.eta_grid must be a list, got 0.5"),
+            ({"scene": {"targets": [{"range_m": "far"}]}},
+             r"scene.targets\[0\].range_m must be a number, got 'far'")):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
+    # an integer is a valid value for a float field
+    assert config_from_dict({"se_sweep": {"snr_grid_db": [-32.5, -30]},
+                             "frame": {"cp_fraction": 0}}).frame.cp_fraction == 0
 
 
 def test_yaml_round_trip(tmp_path):
@@ -217,6 +235,8 @@ def test_cli_config_error_exit_two(tmp_path):
     assert cli_main(["selftest", "--config", str(bad)]) == 2
     bad.write_text("frame:\n  cp_fraction: 2\n")
     assert cli_main(["selftest", "--config", str(bad)]) == 2
+    bad.write_text("tradeoff:\n  eta_grid: [0.5, a]\n")
+    assert cli_main(["tradeoff", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
 
 

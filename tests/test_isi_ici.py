@@ -346,8 +346,9 @@ def test_unaware_sic_matches_truth_when_model_holds(frame, rng):
 def test_resolve_collapsed_coeffs(rng):
     scene = SensingScene([SensingTarget(range_m=3.0, velocity_mps=0.0, azimuth=0.0,
                                         effective_snr_db=-10.0)], noise_power=4.0)
-    resolve_collapsed_coeffs(scene, rng)
-    assert np.isclose(abs(scene.targets[0].coeff), np.sqrt(0.1 * 4.0))
+    resolved = resolve_collapsed_coeffs(scene, rng)
+    assert np.isclose(abs(resolved.targets[0].coeff), np.sqrt(0.1 * 4.0))
+    assert scene.targets[0].coeff is None and resolved.targets[0] is not scene.targets[0]
 
 
 def test_successive_cancellation_fits_alpha(frame, rng):
