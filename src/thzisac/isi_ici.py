@@ -103,6 +103,16 @@ def apply_channel_operator(tau: float, nu: float, pair: ExtendedTxPair,
     the samples are Doppler-rotated at the true receive instants and
     re-DFT'd per symbol. Linear in the grids.
     """
+    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
+    rows = _delayed_rows(tau, pair, frame)
+    t_sample = (np.arange(n_sym)[:, None] * frame.t_total + frame.t_cp
+                + np.arange(m_sc)[None, :] / m_sc * frame.t_symbol)
+    r = rows * np.exp(2j * np.pi * nu * t_sample)
+    return (np.fft.fft(r, axis=1) / np.sqrt(m_sc)).reshape(-1)
+
+
+def _delayed_rows(tau: float, pair: ExtendedTxPair, frame: FrameConfig) -> np.ndarray:
+    """Transmit samples a delay tau earlier at the receive instants, (N, M), CP removed."""
     if tau < 0 or tau > frame.t_slot * (1 + 1e-12):
         raise ValueError(f"delay {tau} outside [0, slot duration {frame.t_slot}]")
     m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
@@ -113,11 +123,20 @@ def apply_channel_operator(tau: float, nu: float, pair: ExtendedTxPair,
     stream = _cp_stream(pair, frame, max(0.0, lag - shift), n_prev,
                         (n_prev + n_sym) * p_len + m_cp)
     first = n_prev * p_len + m_cp - lag
-    rows = stream[first:first + n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc]
-    t_sample = (np.arange(n_sym)[:, None] * frame.t_total + frame.t_cp
-                + np.arange(m_sc)[None, :] / m_sc * frame.t_symbol)
-    r = rows * np.exp(2j * np.pi * nu * t_sample)
-    return (np.fft.fft(r, axis=1) / np.sqrt(m_sc)).reshape(-1)
+    return stream[first:first + n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc]
+
+
+def _doppler_factors(nu: float, frame: FrameConfig):
+    """The Doppler ramp e^{j2pi nu t} at the receive instants t = n T_o + T_cp + m T/M.
+
+    Returned as its per-symbol (N,) and per-sample (M,) factors, whose outer
+    product is the (N, M) ramp.
+    """
+    m_sc = frame.m_subcarriers
+    per_symbol = np.exp(2j * np.pi * nu * (np.arange(frame.n_symbols) * frame.t_total
+                                           + frame.t_cp))
+    per_sample = np.exp(2j * np.pi * nu * frame.t_symbol / m_sc * np.arange(m_sc))
+    return per_symbol, per_sample
 
 
 def isi_ici_rx(scene: SensingScene, pair: ExtendedTxPair, frame: FrameConfig,
@@ -169,6 +188,44 @@ def matched_objective(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig):
         if den <= 0.0:
             return 0.0
         return float(np.abs(np.vdot(h, y)) ** 2 / den)
+    return fun
+
+
+def _rx_samples(y: np.ndarray, frame: FrameConfig) -> np.ndarray:
+    """Per-symbol unitary IDFT of the received vector: its time samples, (N, M)."""
+    m_sc = frame.m_subcarriers
+    return np.fft.ifft(y.reshape(frame.n_symbols, m_sc), axis=1) * np.sqrt(m_sc)
+
+
+def _ratio(corr: complex, energy: float) -> float:
+    return float(abs(corr) ** 2 / energy) if energy > 0.0 else 0.0
+
+
+# The tackled objective |<H(tau,nu)x, y>|^2 / ||H(tau,nu)x||^2 along one axis,
+# read off the time samples y_t = _rx_samples(y): the per-symbol DFT is
+# unitary, so <H x, y> = <rows * ramp, y_t> with rows = _delayed_rows(tau) and
+# ramp the unit-modulus Doppler ramp, and ||H x||^2 = ||rows||^2.
+
+def _delay_line(y_t: np.ndarray, nu: float, pair: ExtendedTxPair, frame: FrameConfig):
+    """The objective as a function of tau at fixed nu: one CP stream per probe."""
+    per_symbol, per_sample = _doppler_factors(nu, frame)
+    target = y_t * np.outer(per_symbol, per_sample).conj()
+
+    def fun(tau: float) -> float:
+        rows = np.ascontiguousarray(_delayed_rows(tau, pair, frame))
+        return _ratio(np.vdot(rows, target), np.vdot(rows, rows).real)
+    return fun
+
+
+def _doppler_line(y_t: np.ndarray, tau: float, pair: ExtendedTxPair, frame: FrameConfig):
+    """The objective as a function of nu at fixed tau: N + M exps per probe."""
+    rows = _delayed_rows(tau, pair, frame)
+    energy = float(np.sum(rows.real ** 2 + rows.imag ** 2))
+    corr = rows.conj() * y_t
+
+    def fun(nu: float) -> float:
+        per_symbol, per_sample = _doppler_factors(nu, frame)
+        return _ratio(per_symbol.conj() @ corr @ per_sample.conj(), energy)
     return fun
 
 

@@ -190,6 +190,41 @@ def _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid):
     np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("shape", [(32, 8, 8), (24, 5, 5), (16, 4, 0)])
+def test_line_objectives_match_matched_objective(rng, shape):
+    # both refinement axes read off the receive samples, against the dense
+    # operator: delays inside the CP, past it (l > 0), past whole symbols
+    # (k > 0) and at the slot end; Doppler of both signs up to most of a bin
+    m_sc, n_sym, m_cp = shape
+    frame = FrameConfig(m_sc, n_sym, 4, 1e6, 0.3e12, m_cp=m_cp)
+    pair = _random_pair(frame, rng)
+    y = 0.7 * apply_channel_operator(1.3 * frame.t_total, -0.2 * frame.delta_f, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    y_t = isi_ici._rx_samples(y, frame)
+    objective = matched_objective(y, pair, frame)
+    d_tau = frame.t_symbol / m_sc
+    taus = [0.0, 0.37 * d_tau, frame.t_cp + 0.4 * frame.t_symbol,
+            1.3 * frame.t_total, (n_sym - 1) * frame.t_total + frame.t_cp + 0.6 * frame.t_symbol,
+            frame.t_slot]
+    nus = [-0.83 * frame.delta_f, -0.2 * frame.delta_f, 0.0, 0.013 * frame.delta_f,
+           0.61 * frame.delta_f]
+    direct = np.array([[objective(t, v) for v in nus] for t in taus])
+    by_doppler = np.array([[isi_ici._doppler_line(y_t, t, pair, frame)(v) for v in nus]
+                           for t in taus])
+    by_delay = np.array([[isi_ici._delay_line(y_t, v, pair, frame)(t) for t in taus]
+                         for v in nus]).T
+    assert np.all(direct > 0)
+    np.testing.assert_allclose(by_doppler, direct, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(by_delay, direct, rtol=1e-9, atol=0.0)
+
+
+def test_line_objectives_zero_without_transmit_energy(frame, rng):
+    pair = ExtendedTxPair.with_zero_predecessor(np.zeros((32, 8), complex))
+    y_t = isi_ici._rx_samples(rng.standard_normal(32 * 8) + 0j, frame)
+    assert isi_ici._delay_line(y_t, 0.1 * frame.delta_f, pair, frame)(0.3 * frame.t_total) == 0.0
+    assert isi_ici._doppler_line(y_t, 0.3 * frame.t_total, pair, frame)(1e3) == 0.0
+
+
 @pytest.mark.parametrize("predecessor", ["random", "zero"])
 def test_coarse_scan_oracle_one_doppler_node_up_to_slot_end(frame, rng, predecessor):
     # the ISI shape: every delay node of the slot, up to tau = T_slot (lag N*P

@@ -305,6 +305,43 @@ def test_golden_section_max_quadratic():
     assert abs(x - 0.3) < 1e-9
 
 
+def _dirichlet_peak(x):
+    # the shape of a delay or Doppler line near its peak: |sum_k e^{j pi k (x - 0.23)}|^2
+    return float(abs(np.exp(1j * np.pi * (x - 0.23) * np.arange(16)).sum()) ** 2)
+
+
+@pytest.mark.parametrize("fun, lo, hi", [
+    (_dirichlet_peak, 0.23 - 1 / 16, 0.23 + 1 / 16),
+    (lambda x: np.exp(-(x - 0.37) ** 2 / 0.08) + 0.1 * x, -1.0, 1.0),
+    (lambda x: x, 0.0, 1.0),                     # maximum on the upper bound
+    (lambda x: -np.cosh(x + 3.0), -1.0, 2.0),     # and on the lower one
+])
+def test_golden_section_max_matches_bounded_brent(fun, lo, hi):
+    from scipy.optimize import minimize_scalar
+    tol = 1e-6 * (hi - lo)
+    ref = minimize_scalar(lambda x: -fun(x), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-3 * tol})
+    x, val = golden_section_max(fun, lo, hi, iters=100, tol=tol)
+    assert lo <= x <= hi
+    assert abs(x - ref.x) <= 2 * tol
+    assert val == fun(x)
+
+
+def test_golden_section_max_flat_function_and_iteration_cap():
+    calls = []
+
+    def flat(x):
+        calls.append(x)
+        return 2.0
+
+    x, val = golden_section_max(flat, -1.0, 3.0, iters=100, tol=1e-6)
+    assert val == 2.0 and -1.0 <= x <= 3.0 and len(calls) <= 101
+    for iters in (0, 1, 5):
+        calls.clear()
+        golden_section_max(lambda x: flat(x) - x ** 2, -1.0, 3.0, iters=iters, tol=0.0)
+        assert len(calls) <= iters + 2
+
+
 # ---------------------------------------------------------------------------
 # full pipeline
 # ---------------------------------------------------------------------------
