@@ -110,11 +110,6 @@ class CommChannel:
         a_r, a_t, gains = self.factors()
         return (a_r * gains[:, m]) @ a_t.conj().T
 
-    def apply(self, m: int, f: np.ndarray) -> np.ndarray:
-        """H_c[m] @ f without materializing the channel matrix."""
-        a_r, a_t, gains = self.factors()
-        return (a_r * gains[:, m]) @ (a_t.conj().T @ f)
-
 
 def sample_comm_channel(tx_geom: UpaGeometry, rx_geom: UpaGeometry, frame: FrameConfig,
                         rng: np.random.Generator, num_nlos: int = 4,

@@ -246,10 +246,15 @@ def _validate(cfg: ExperimentConfig):
         # the range checks below compare numbers and would fail on these
         raise ConfigError("; ".join(problems))
     arr = cfg.arrays
-    if arr.tx_geom().n_elements % arr.n_rf_tx:
-        problems.append("arrays: transmit elements not divisible by n_rf_tx")
-    if arr.rx_geom().n_elements % arr.n_rf_rx:
-        problems.append("arrays: receive elements not divisible by n_rf_rx")
+    sizes = [name for name in ("w_tx", "l_tx", "w_rx", "l_rx", "n_rf_tx", "n_rf_rx", "n_streams")
+             if getattr(arr, name) < 1]
+    if sizes:
+        problems.append(f"arrays: {', '.join(sizes)} must be >= 1")
+    else:
+        if arr.tx_geom().n_elements % arr.n_rf_tx:
+            problems.append("arrays: transmit elements not divisible by n_rf_tx")
+        if arr.rx_geom().n_elements % arr.n_rf_rx:
+            problems.append("arrays: receive elements not divisible by n_rf_rx")
     if arr.n_streams > arr.n_rf_tx:
         problems.append("arrays: n_streams exceeds n_rf_tx")
     for name, counts, n_rf in (("tradeoff", cfg.tradeoff.structures, arr.n_rf_tx),
@@ -263,6 +268,12 @@ def _validate(cfg: ExperimentConfig):
     unknown = [a for a in cfg.tradeoff.algorithms if a not in ("vec", "sca")]
     if unknown:
         problems.append(f"tradeoff: unknown algorithms {unknown}, expected 'vec' or 'sca'")
+    for name, items in (("scene.targets", cfg.scene.targets),
+                        ("beam_scan.slots", cfg.beam_scan.slots)):
+        if not items:
+            problems.append(f"{name} must not be empty")
+    if not cfg.scene.noise_power >= 0:
+        problems.append(f"scene.noise_power must be >= 0, got {cfg.scene.noise_power}")
     slots = [q for q in cfg.beam_scan.slots if not 1 <= q <= arr.w_tx]
     if slots:
         problems.append(f"beam_scan: slots {slots} outside 1..{arr.w_tx}")
@@ -273,6 +284,12 @@ def _validate(cfg: ExperimentConfig):
     if not 0.0 <= cfg.frame.cp_fraction <= 1.0:
         problems.append(f"frame: cp_fraction {cfg.frame.cp_fraction} outside [0, 1]")
     else:
+        for name, df_khz in (("frame", cfg.frame.delta_f_khz),
+                             ("mc_rmse", cfg.mc_rmse.delta_f_khz)):
+            try:
+                cfg.frame.to_frame(delta_f_khz=df_khz)
+            except ValueError as exc:
+                problems.append(f"{name}: {exc}")
         problems.extend(_range_problems(cfg))
     for name, low in (("trials", 1), ("seed", 0)):
         if getattr(cfg, name) < low:

@@ -118,7 +118,7 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
         rows[("digital", 0, 1.0)] = (
             precoding.spectral_efficiency(chan, comm_opt, comb_opt, rho, 1.0),
             float(precoding.transmit_beampattern(
-                np.eye(tx_geom.n_elements), comm_opt,
+                None, comm_opt,
                 np.array([codebook.direction_angles[q - 1]]), tx_geom)[0]))
         for n_c in spec.structures:
             comm_only = None

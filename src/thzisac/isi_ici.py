@@ -2,9 +2,9 @@
 
 Lifts the CP-bounded-delay and small-Doppler restrictions: delays may reach a
 full slot (tau <= T_s) and Doppler shifts may approach the subcarrier spacing.
-One model of the delayed transmit signal serves the operator and the coarse
-scan: the serialized, CP-carrying sample stream of the previous and current
-slots (_cp_stream). A delay reads that stream a whole number of samples back,
+One model of the delayed transmit signal serves the operator, the coarse scan
+and the refinement: the serialized, CP-carrying sample stream of the previous
+and current slots (_cp_stream). A delay reads that stream a whole number of samples back,
 with a forward fraction of a sample inside the same symbol as a per-subcarrier
 phase ramp; the operator then applies the exact per-sample Doppler ramp and a
 per-symbol DFT, O(MN log M) per application.
@@ -22,7 +22,8 @@ import numpy as np
 
 from .channel import (SPEED_OF_LIGHT, ModelMismatchWarning, SensingScene, awgn,
                       range_of_delay, velocity_of_doppler)
-from .sensing_rx import DelayDopplerEstimate, MlProfile, golden_section_max, gss_refine
+from .sensing_rx import (DelayDopplerEstimate, MlProfile, alternating_refine,
+                         golden_section_max, gss_refine)
 from .waveform import FrameConfig
 
 
@@ -45,33 +46,6 @@ class ExtendedTxPair:
     def with_zero_predecessor(cls, x_curr: np.ndarray) -> "ExtendedTxPair":
         """First slot of a frame: nothing was on the air before it."""
         return cls(x_prev=np.zeros_like(x_curr), x_curr=x_curr)
-
-
-class TxBaseband:
-    """Continuous-time transmit waveform of one slot, for brute-force sampling.
-
-    s(t) = (1/sqrt(M)) sum_{m,n} X[m,n] rect(t - n*T_o) e^{j2pi m df (t - T_cp - n*T_o)}
-    with rect supported on [0, T_o); zero outside the slot. The 1/sqrt(M) keeps
-    samples consistent with the unitary-IDFT modulator.
-    """
-
-    def __init__(self, grid: np.ndarray, frame: FrameConfig):
-        if grid.shape != (frame.m_subcarriers, frame.n_symbols):
-            raise ValueError(f"grid shape {grid.shape} does not match the frame")
-        self.grid = grid
-        self.frame = frame
-
-    def sample(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        fr = self.frame
-        n = np.floor(t / fr.t_total).astype(int)
-        valid = (n >= 0) & (n < fr.n_symbols)
-        n_safe = np.clip(n, 0, fr.n_symbols - 1)
-        delta = t - n * fr.t_total
-        m_idx = np.arange(fr.m_subcarriers)
-        phases = np.exp(2j * np.pi * fr.delta_f * np.outer(m_idx, delta - fr.t_cp))
-        vals = np.einsum("mk,mk->k", self.grid[:, n_safe], phases) / np.sqrt(fr.m_subcarriers)
-        return np.where(valid, vals, 0.0)
 
 
 def _cp_stream(pair: ExtendedTxPair, frame: FrameConfig, frac: float, n_prev: int,
@@ -103,12 +77,9 @@ def apply_channel_operator(tau: float, nu: float, pair: ExtendedTxPair,
     the samples are Doppler-rotated at the true receive instants and
     re-DFT'd per symbol. Linear in the grids.
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    rows = _delayed_rows(tau, pair, frame)
-    t_sample = (np.arange(n_sym)[:, None] * frame.t_total + frame.t_cp
-                + np.arange(m_sc)[None, :] / m_sc * frame.t_symbol)
-    r = rows * np.exp(2j * np.pi * nu * t_sample)
-    return (np.fft.fft(r, axis=1) / np.sqrt(m_sc)).reshape(-1)
+    per_symbol, per_sample = _doppler_factors(nu, frame)
+    r = _delayed_rows(tau, pair, frame) * np.outer(per_symbol, per_sample)
+    return (np.fft.fft(r, axis=1) / np.sqrt(frame.m_subcarriers)).reshape(-1)
 
 
 def _delayed_rows(tau: float, pair: ExtendedTxPair, frame: FrameConfig) -> np.ndarray:
@@ -179,17 +150,6 @@ def cp_limited_range(frame: FrameConfig) -> float:
 # ---------------------------------------------------------------------------
 # ISI/ICI-tackled estimator
 # ---------------------------------------------------------------------------
-
-def matched_objective(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig):
-    """Normalized correlation |<H(tau,nu)x, y>|^2 / ||H(tau,nu)x||^2 as a callable."""
-    def fun(tau: float, nu: float) -> float:
-        h = apply_channel_operator(tau, nu, pair, frame)
-        den = float(np.vdot(h, h).real)
-        if den <= 0.0:
-            return 0.0
-        return float(np.abs(np.vdot(h, y)) ** 2 / den)
-    return fun
-
 
 def _rx_samples(y: np.ndarray, frame: FrameConfig) -> np.ndarray:
     """Per-symbol unitary IDFT of the received vector: its time samples, (N, M)."""
@@ -365,10 +325,10 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     """Single-target estimate maximizing the exact-model normalized correlation.
 
     Coarse grid at half-bin spacing (T/(2M) in delay, 1/(2*N*T_o) in Doppler)
-    over [0, tau_max] x [-nu_max, nu_max], then alternating golden-section
-    refinement one coarse step around the best node. Returns the
-    DelayDopplerEstimate; raises FlatObjectiveError when the objective is zero
-    on every coarse node.
+    over [0, tau_max] x [-nu_max, nu_max], then alternating line searches one
+    coarse step around the best node (sensing_rx.alternating_refine) on the
+    receive samples. Returns the DelayDopplerEstimate; raises
+    FlatObjectiveError when the objective is zero on every coarse node.
     """
     d_tau, d_nu, tau_grid, j_max, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
@@ -377,20 +337,15 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     i, j = np.unravel_index(int(np.argmax(prof)), prof.shape)
     tau0, nu0 = float(tau_grid[i]), float(nu_grid[j])
 
-    objective = matched_objective(y, pair, frame)
-    tau, nu = tau0, nu0
-    best = objective(tau, nu)
-    lo_t, hi_t = max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau)
-    lo_n, hi_n = nu0 - d_nu, nu0 + d_nu
-    for _ in range(rounds):
-        cand, val = golden_section_max(lambda t: objective(t, nu), lo_t, hi_t,
-                                       iters, 1e-6 * d_tau)
-        if val > best:
-            tau, best = cand, val
-        cand, val = golden_section_max(lambda v: objective(tau, v), lo_n, hi_n,
-                                       iters, 1e-6 * d_nu)
-        if val > best:
-            nu, best = cand, val
+    y_t = _rx_samples(y, frame)
+    (tau, nu), best = alternating_refine(
+        (lambda p: _delay_line(y_t, p[1], pair, frame),
+         lambda p: _doppler_line(y_t, p[0], pair, frame)),
+        (tau0, nu0),
+        ((max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau)), (nu0 - d_nu, nu0 + d_nu)),
+        # this module's binding of the search, so isi_ici.golden_section_max
+        # names the line searches of the tackled refinement
+        (1e-6 * d_tau, 1e-6 * d_nu), rounds, iters, search=golden_section_max)
     return DelayDopplerEstimate(
         tau_hat=tau, nu_hat=nu,
         range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),

@@ -436,13 +436,16 @@ def transmit_beampattern(f_rf: np.ndarray, f_bb: np.ndarray, angles: np.ndarray,
 
     gain(theta) = (Nt / (M*Ns)) sum_m ||a^H(theta) F_RF F_BB[m]||^2, which
     averages to 0 dBi over a uniform sin-spaced grid for any power-normalized
-    precoder set and peaks at 10 log10(Nt) for a full coherent beam.
+    precoder set and peaks at 10 log10(Nt) for a full coherent beam. f_rf None
+    means no analog stage (F_RF = I): f_bb is then a fully digital precoder.
     """
     a_grid = steering_many(np.asarray(angles, dtype=float), elevation, geom)
     m_count, _, ns = f_bb.shape
-    # einsum, not matmul: a real f_rf (the identity of a fully digital
-    # reference) would otherwise be cast to a complex copy first
-    proj = np.einsum("tg,tr->gr", a_grid.conj(), f_rf)
+    if f_rf is None:
+        proj = np.ascontiguousarray(a_grid.conj().T)
+    else:
+        # einsum, not matmul: a real f_rf would be cast to a complex copy first
+        proj = np.einsum("tg,tr->gr", a_grid.conj(), f_rf)
     resp = _apply_left(proj, f_bb)
     gain = geom.n_elements / (m_count * ns) * np.sum(np.abs(resp) ** 2, axis=(0, 2))
     if db:

@@ -3,7 +3,7 @@
 Receive combining onto the RF-chain domain, observation stacking across
 subcarriers and symbols, subspace (MUSIC) azimuth estimation against the
 combined array manifold, and two-phase delay-Doppler estimation: a coarse 2D
-DFT grid maximum followed by alternating golden-section refinement.
+DFT grid maximum followed by alternating line searches (Brent's method).
 """
 
 from __future__ import annotations
@@ -263,24 +263,87 @@ def sdft_coarse(y_blocks: np.ndarray, xhat_blocks: np.ndarray, frame: FrameConfi
 
 def golden_section_max(fun, lo: float, hi: float, iters: int = 40,
                        tol: float = 0.0) -> tuple:
-    """1D golden-section maximization on [lo, hi]; returns (x, fun(x))."""
+    """Maximize fun on [lo, hi] by Brent's method; returns (x, fun(x)).
+
+    Golden-section steps plus parabolic steps through the three best points
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+    Stops once the bracket around the best point is within the absolute
+    tolerance tol, or after iters steps: at most iters + 1 evaluations.
+    """
     a, b = float(lo), float(hi)
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
+    x = w = v = a + (1.0 - GOLDEN) * (b - a)
+    fx = fw = fv = fun(x)
+    d = e = 0.0
     for _ in range(iters):
-        if b - a <= tol:
+        mid = 0.5 * (a + b)
+        tol1 = tol / 3.0 + 4.0 * np.finfo(float).eps * abs(x)
+        if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
             break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fun(c)
+        parabolic = False
+        if abs(e) > tol1:
+            # vertex of the parabola through (v, fv), (w, fw), (x, fx) at x + p/q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # accepted only inside the bracket and shorter than half the step
+            # before last, so a stalling fit falls back to golden sections
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            e = d
+        if parabolic:
+            d = p / q
+            if x + d - a < 2.0 * tol1 or b - (x + d) < 2.0 * tol1:
+                d = tol1 if mid >= x else -tol1
         else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fun(d)
-    x = c if fc > fd else d
-    return (x, max(fc, fd))
+            e = (a if x >= mid else b) - x
+            d = (1.0 - GOLDEN) * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0 else -tol1))
+        fu = fun(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return x, fx
+
+
+def alternating_refine(lines, start, boxes, tols, rounds: int, iters: int,
+                       search=None) -> tuple:
+    """Alternating line searches over a 2D box, from start.
+
+    lines[k](point) is the objective along axis k through point, as a function
+    of that coordinate alone; boxes[k] = (lo, hi) and tols[k] bound its search,
+    which is search (golden_section_max by default). A move is taken only
+    when it beats the best value so far, so the result never scores below
+    start; a non-unimodal region degrades to the best found. Stops after
+    rounds rounds, or after the first round that improves nothing. Returns
+    (point, best value).
+    """
+    search = golden_section_max if search is None else search
+    point = list(start)
+    best = lines[0](point)(point[0])
+    for _ in range(rounds):
+        improved = False
+        for k, line in enumerate(lines):
+            cand, val = search(line(point), *boxes[k], iters, tols[k])
+            if val > best:
+                point[k], best, improved = cand, val, True
+        if not improved:
+            break
+    return tuple(point), best
 
 
 def gss_refine(profile, coarse_bin: tuple, frame: FrameConfig, rounds: int = 3,
@@ -288,26 +351,16 @@ def gss_refine(profile, coarse_bin: tuple, frame: FrameConfig, rounds: int = 3,
     """Continuous refinement around the coarse bin by alternating 1D searches.
 
     The search region spans one grid step either side of the coarse maximum on
-    both axes. Line-search results are accepted only when they improve on the
-    best value seen, so the estimate never scores below its coarse bin.
+    both axes; see alternating_refine.
     """
     m0, n0 = coarse_bin
     d_tau = 1.0 / (frame.m_subcarriers * frame.delta_f)
     d_nu = 1.0 / (frame.n_symbols * frame.t_total)
-    tau, nu = m0 * d_tau, n0 * d_nu
-    best = profile(tau, nu)
-    tol_tau, tol_nu = 1e-6 * d_tau, 1e-6 * d_nu
-    for _ in range(rounds):
-        cand, val = golden_section_max(lambda t: profile(t, nu),
-                                       (m0 - 1) * d_tau, (m0 + 1) * d_tau, iters, tol_tau)
-        if val > best:
-            tau, best = cand, val
-        cand, val = golden_section_max(lambda v: profile(tau, v),
-                                       (n0 - 1) * d_nu, (n0 + 1) * d_nu, iters, tol_nu)
-        if val > best:
-            nu, best = cand, val
-    # moves are accepted only on improvement, so the result can never score
-    # below the coarse bin; a non-unimodal region degrades to the best found
+    (tau, nu), best = alternating_refine(
+        (lambda p: lambda t: profile(t, p[1]), lambda p: lambda v: profile(p[0], v)),
+        (m0 * d_tau, n0 * d_nu),
+        (((m0 - 1) * d_tau, (m0 + 1) * d_tau), ((n0 - 1) * d_nu, (n0 + 1) * d_nu)),
+        (1e-6 * d_tau, 1e-6 * d_nu), rounds, iters)
     return DelayDopplerEstimate(
         tau_hat=tau, nu_hat=nu,
         range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),

@@ -7,7 +7,35 @@ the library implementations it checks.
 
 import numpy as np
 
-from thzisac.isi_ici import TxBaseband
+from thzisac.isi_ici import apply_channel_operator
+from thzisac.waveform import FrameConfig
+
+
+class TxBaseband:
+    """Continuous-time transmit waveform of one slot, for brute-force sampling.
+
+    s(t) = (1/sqrt(M)) sum_{m,n} X[m,n] rect(t - n*T_o) e^{j2pi m df (t - T_cp - n*T_o)}
+    with rect supported on [0, T_o); zero outside the slot. The 1/sqrt(M) keeps
+    samples consistent with the unitary-IDFT modulator.
+    """
+
+    def __init__(self, grid: np.ndarray, frame: FrameConfig):
+        if grid.shape != (frame.m_subcarriers, frame.n_symbols):
+            raise ValueError(f"grid shape {grid.shape} does not match the frame")
+        self.grid = grid
+        self.frame = frame
+
+    def sample(self, t) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        fr = self.frame
+        n = np.floor(t / fr.t_total).astype(int)
+        valid = (n >= 0) & (n < fr.n_symbols)
+        n_safe = np.clip(n, 0, fr.n_symbols - 1)
+        delta = t - n * fr.t_total
+        m_idx = np.arange(fr.m_subcarriers)
+        phases = np.exp(2j * np.pi * fr.delta_f * np.outer(m_idx, delta - fr.t_cp))
+        vals = np.einsum("mk,mk->k", self.grid[:, n_safe], phases) / np.sqrt(fr.m_subcarriers)
+        return np.where(valid, vals, 0.0)
 
 
 def steering_scalar_loop(theta, phi, w_count, l_count):
@@ -40,6 +68,26 @@ def bruteforce_rx(targets, pair, frame):
         r += alpha * np.exp(2j * np.pi * nu * t) * sval.reshape(m_sc, n_sym)
     y = np.fft.fft(r, axis=0) / np.sqrt(m_sc)
     return y.reshape(-1, order="F")
+
+
+def matched_objective(y, pair, frame):
+    """Normalized correlation |<H(tau,nu)x, y>|^2 / ||H(tau,nu)x||^2 as a callable.
+
+    Applies the full frequency-domain operator at every (tau, nu).
+    """
+    def fun(tau, nu):
+        h = apply_channel_operator(tau, nu, pair, frame)
+        den = float(np.vdot(h, h).real)
+        if den <= 0.0:
+            return 0.0
+        return float(np.abs(np.vdot(h, y)) ** 2 / den)
+    return fun
+
+
+def comm_channel_apply(chan, m, f):
+    """H_c[m] @ f from the channel's path factors, without forming H_c[m]."""
+    a_r, a_t, gains = chan.factors()
+    return (a_r * gains[:, m]) @ (a_t.conj().T @ f)
 
 
 def ml_profile_direct(y_blocks, xhat_blocks, tau, nu, frame):

@@ -8,6 +8,8 @@ from thzisac.channel import (SPEED_OF_LIGHT, CommChannel, CommPath,
 from thzisac.geometry import UpaGeometry, steering_upa
 from thzisac.waveform import FrameConfig
 
+from oracles import comm_channel_apply
+
 
 @pytest.fixture
 def frame():
@@ -74,13 +76,15 @@ def test_comm_channel_rank_one_action(frame, rng):
     for m in (0, 17):
         expected = chan.gamma * gains[m] * (a_t.conj() @ v) * a_r
         np.testing.assert_allclose(chan.matrix(m) @ v, expected, atol=1e-10)
-        np.testing.assert_allclose(chan.apply(m, v[:, None])[:, 0], expected, atol=1e-10)
+        np.testing.assert_allclose(comm_channel_apply(chan, m, v[:, None])[:, 0], expected,
+                                   atol=1e-10)
 
 
 def test_apply_matches_matrix(frame, rng):
+    # the path factors spectral_efficiency reads against the dense matrix
     chan = sample_comm_channel(UpaGeometry(4, 4), UpaGeometry(4, 2), frame, rng)
     f = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
-    np.testing.assert_allclose(chan.apply(3, f), chan.matrix(3) @ f, atol=1e-12)
+    np.testing.assert_allclose(comm_channel_apply(chan, 3, f), chan.matrix(3) @ f, atol=1e-12)
 
 
 def test_sensing_channel_basics(frame):

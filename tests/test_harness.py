@@ -70,6 +70,15 @@ def test_validation_errors():
     with pytest.raises(ConfigError, match="isi_demo: range must be >= 0"):
         config_from_dict({"isi_demo": {"max_range_m": -1}})
     config_from_dict({"isi_demo": {"max_range_m": 780}, "ici_demo": {"max_range_m": 24900}})
+    # inputs the runners would otherwise trip over partway through a run
+    for data, message in (
+            ({"scene": {"noise_power": -1}}, "scene.noise_power must be >= 0, got -1"),
+            ({"scene": {"targets": []}}, "scene.targets must not be empty"),
+            ({"mc_rmse": {"delta_f_khz": 0}}, "mc_rmse: delta_f and fc must be positive"),
+            ({"arrays": {"n_rf_tx": 0}}, "arrays: n_rf_tx must be >= 1"),
+            ({"beam_scan": {"slots": []}}, "beam_scan.slots must not be empty")):
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
     # every numeric field and list entry is checked against its declared type
     for data, message in (
             ({"frame": {"cp_fraction": "x"}}, "frame.cp_fraction must be a number, got 'x'"),
@@ -238,6 +247,10 @@ def test_cli_config_error_exit_two(tmp_path):
     bad.write_text("tradeoff:\n  eta_grid: [0.5, a]\n")
     assert cli_main(["tradeoff", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
+    bad.write_text("arrays:\n  n_rf_tx: 0\n")
+    assert cli_main(["tradeoff", "--config", str(bad), "--out", str(tmp_path), "--trials", "1"]) == 2
+    bad.write_text("scene:\n  targets: []\n")
+    assert cli_main(["mc-rmse", "--config", str(bad), "--out", str(tmp_path), "--trials", "1"]) == 2
 
 
 @pytest.mark.parametrize("argv", [["mc-rmse", "--trials", "0"],

@@ -6,15 +6,15 @@ import pytest
 
 from thzisac import isi_ici
 from thzisac.channel import SensingScene, SensingTarget, delay_of_range, doppler_of_velocity
-from thzisac.isi_ici import (ExtendedTxPair, TxBaseband, _coarse_scan, _half_bin_grid,
+from thzisac.isi_ici import (ExtendedTxPair, _coarse_scan, _half_bin_grid,
                              apply_channel_operator, cp_limited_range,
-                             hadamard_model_vec, isi_ici_rx, matched_objective,
+                             hadamard_model_vec, isi_ici_rx,
                              resolve_collapsed_coeffs, successive_cancellation,
                              tackled_estimate, unaware_estimate_peaks,
                              unaware_successive_cancellation)
 from thzisac.waveform import FrameConfig, generate_symbols, ofdm_modulate
 
-from oracles import bruteforce_rx
+from oracles import TxBaseband, bruteforce_rx, matched_objective
 
 
 @pytest.fixture
@@ -298,6 +298,26 @@ def test_tackled_estimate_transient_memory_bound():
     finally:
         tracemalloc.stop()
     assert peak <= 2.7e6
+
+
+def test_tackled_estimate_probe_count(monkeypatch):
+    # every probe of the refinement runs inside isi_ici.golden_section_max;
+    # three rounds of fixed 33-step golden sections made ~200 of them
+    frame = FrameConfig(1024, 16, 32, 3840e3, 0.3e12)
+    rng = np.random.default_rng(11)
+    pair = ExtendedTxPair(generate_symbols(frame, 1, rng)[0], generate_symbols(frame, 1, rng)[0])
+    tau, nu = delay_of_range(45.0), 1e3
+    y = 0.3 * apply_channel_operator(tau, nu, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    real, probes = isi_ici.golden_section_max, []
+
+    def spy(fun, *args):
+        return real(lambda x: probes.append(x) or fun(x), *args)
+
+    monkeypatch.setattr(isi_ici, "golden_section_max", spy)
+    est = tackled_estimate(y, pair, frame, delay_of_range(55.0), doppler_of_velocity(30.0, frame.fc))
+    assert 0 < len(probes) <= 80
+    assert abs(est.tau_hat - tau) < 0.05 * frame.t_symbol / 1024
 
 
 def test_tackled_agrees_with_unaware_when_models_coincide(frame, rng):

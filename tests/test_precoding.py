@@ -376,6 +376,9 @@ def test_beampattern_codebook_peak(rng):
                                cb.direction_angles, geom)
     assert np.argmax(pat) == q - 1
     assert np.isclose(pat[q - 1], 10 * np.log10(geom.n_elements), atol=1e-9)
+    # no analog stage is the identity, bit for bit
+    np.testing.assert_array_equal(transmit_beampattern(
+        None, np.repeat(sense[None], 4, 0), cb.direction_angles, geom), pat)
 
 
 def test_beampattern_power_conservation(rng):

@@ -339,7 +339,7 @@ def test_golden_section_max_flat_function_and_iteration_cap():
     for iters in (0, 1, 5):
         calls.clear()
         golden_section_max(lambda x: flat(x) - x ** 2, -1.0, 3.0, iters=iters, tol=0.0)
-        assert len(calls) <= iters + 2
+        assert len(calls) <= iters + 1
 
 
 # ---------------------------------------------------------------------------
