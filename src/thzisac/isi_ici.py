@@ -274,11 +274,9 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     rx = np.zeros((n_blk, fft_len), dtype=complex)
     body = rx[:, lag_max:]
     flat = np.zeros(n_blk * blk_len + m_cp, dtype=complex)
-    flat[:n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc] = np.fft.ifft(
-        y.reshape(m_sc, n_sym, order="F"), axis=0).T
+    flat[:n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc] = _rx_samples(y, frame)
     body[...] = flat[:n_blk * blk_len].reshape(n_blk, blk_len)
     del flat
-    body *= np.sqrt(m_sc)
     acc = np.empty(fft_len, dtype=complex)
     step_j, prev_j = None, 0
     for col, j in enumerate(j_nodes):
@@ -339,13 +337,14 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
 
     y_t = _rx_samples(y, frame)
     (tau, nu), best = alternating_refine(
+        # this module's binding of the search, so isi_ici.golden_section_max
+        # names the line searches of the tackled refinement
+        golden_section_max,
         (lambda p: _delay_line(y_t, p[1], pair, frame),
          lambda p: _doppler_line(y_t, p[0], pair, frame)),
         (tau0, nu0),
         ((max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau)), (nu0 - d_nu, nu0 + d_nu)),
-        # this module's binding of the search, so isi_ici.golden_section_max
-        # names the line searches of the tackled refinement
-        (1e-6 * d_tau, 1e-6 * d_nu), rounds, iters, search=golden_section_max)
+        (1e-6 * d_tau, 1e-6 * d_nu), rounds, iters)
     return DelayDopplerEstimate(
         tau_hat=tau, nu_hat=nu,
         range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),

@@ -320,19 +320,17 @@ def golden_section_max(fun, lo: float, hi: float, iters: int = 40,
     return x, fx
 
 
-def alternating_refine(lines, start, boxes, tols, rounds: int, iters: int,
-                       search=None) -> tuple:
+def alternating_refine(search, lines, start, boxes, tols, rounds: int, iters: int) -> tuple:
     """Alternating line searches over a 2D box, from start.
 
     lines[k](point) is the objective along axis k through point, as a function
-    of that coordinate alone; boxes[k] = (lo, hi) and tols[k] bound its search,
-    which is search (golden_section_max by default). A move is taken only
-    when it beats the best value so far, so the result never scores below
-    start; a non-unimodal region degrades to the best found. Stops after
-    rounds rounds, or after the first round that improves nothing. Returns
+    of that coordinate alone; search(fun, lo, hi, iters, tol) maximizes it
+    over boxes[k] = (lo, hi) to tolerance tols[k]. A move is taken only when
+    it beats the best value so far, so the result never scores below start;
+    a non-unimodal region degrades to the best found. Stops after rounds
+    rounds, or after the first round that improves nothing. Returns
     (point, best value).
     """
-    search = golden_section_max if search is None else search
     point = list(start)
     best = lines[0](point)(point[0])
     for _ in range(rounds):
@@ -357,6 +355,7 @@ def gss_refine(profile, coarse_bin: tuple, frame: FrameConfig, rounds: int = 3,
     d_tau = 1.0 / (frame.m_subcarriers * frame.delta_f)
     d_nu = 1.0 / (frame.n_symbols * frame.t_total)
     (tau, nu), best = alternating_refine(
+        golden_section_max,
         (lambda p: lambda t: profile(t, p[1]), lambda p: lambda v: profile(p[0], v)),
         (m0 * d_tau, n0 * d_nu),
         (((m0 - 1) * d_tau, (m0 + 1) * d_tau), ((n0 - 1) * d_nu, (n0 + 1) * d_nu)),
