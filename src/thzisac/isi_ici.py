@@ -4,10 +4,10 @@ Lifts the CP-bounded-delay and small-Doppler restrictions: delays may reach a
 full slot (tau <= T_s) and Doppler shifts may approach the subcarrier spacing.
 One model of the delayed transmit signal serves the operator, the coarse scan
 and the refinement: the serialized, CP-carrying sample stream of the previous
-and current slots (_cp_stream). A delay reads that stream a whole number of samples back,
-with a forward fraction of a sample inside the same symbol as a per-subcarrier
-phase ramp; the operator then applies the exact per-sample Doppler ramp and a
-per-symbol DFT, O(MN log M) per application.
+and current slots (_cp_stream). A delay reads that stream a whole number of
+samples back, with a forward fraction of a sample inside the same symbol as a
+per-subcarrier phase ramp; the operator then applies the exact per-sample
+Doppler ramp and a per-symbol DFT, O(MN log M) per application.
 
 The spatial dimension is collapsed here: one effective complex coefficient per
 target, with beamforming gains folded in by the caller.

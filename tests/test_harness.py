@@ -247,10 +247,11 @@ def test_cli_config_error_exit_two(tmp_path):
     bad.write_text("tradeoff:\n  eta_grid: [0.5, a]\n")
     assert cli_main(["tradeoff", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
-    bad.write_text("arrays:\n  n_rf_tx: 0\n")
-    assert cli_main(["tradeoff", "--config", str(bad), "--out", str(tmp_path), "--trials", "1"]) == 2
-    bad.write_text("scene:\n  targets: []\n")
-    assert cli_main(["mc-rmse", "--config", str(bad), "--out", str(tmp_path), "--trials", "1"]) == 2
+    for command, text in (("tradeoff", "arrays:\n  n_rf_tx: 0\n"),
+                          ("mc-rmse", "scene:\n  targets: []\n")):
+        bad.write_text(text)
+        assert cli_main([command, "--config", str(bad), "--out", str(tmp_path),
+                         "--trials", "1"]) == 2
 
 
 @pytest.mark.parametrize("argv", [["mc-rmse", "--trials", "0"],

@@ -315,7 +315,8 @@ def test_tackled_estimate_probe_count(monkeypatch):
         return real(lambda x: probes.append(x) or fun(x), *args)
 
     monkeypatch.setattr(isi_ici, "golden_section_max", spy)
-    est = tackled_estimate(y, pair, frame, delay_of_range(55.0), doppler_of_velocity(30.0, frame.fc))
+    est = tackled_estimate(y, pair, frame, delay_of_range(55.0),
+                           doppler_of_velocity(30.0, frame.fc))
     assert 0 < len(probes) <= 80
     assert abs(est.tau_hat - tau) < 0.05 * frame.t_symbol / 1024
 
