@@ -2,8 +2,8 @@
 """Run the full experiment battery with the shipped configs.
 
 Each experiment writes CSVs plus a JSON summary under results/<name>/.
-Expect roughly 15-25 minutes end to end at the full default scale; pass
---quick to shrink trial counts for a smoke run.
+A full run at the shipped trial counts took about 1 minute on a 2-core host
+(numpy 2.4, OpenBLAS); pass --quick to shrink trial counts for a smoke run.
 """
 
 import argparse
@@ -21,7 +21,6 @@ def main():
     parser.add_argument("--out", default="results")
     parser.add_argument("--quick", action="store_true",
                         help="3 trials per experiment instead of the configured counts")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--only", nargs="*", choices=EXPERIMENTS, default=None)
     args = parser.parse_args()
 
@@ -29,8 +28,7 @@ def main():
     failures = []
     for name in args.only or EXPERIMENTS:
         cfg = cfg_dir / f"{name.replace('-', '_')}.yaml"
-        argv = [name, "--config", str(cfg), "--out", str(Path(args.out) / name),
-                "--threads", str(args.threads)]
+        argv = [name, "--config", str(cfg), "--out", str(Path(args.out) / name)]
         if args.quick:
             argv += ["--trials", "3"]
         t0 = time.time()

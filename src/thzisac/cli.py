@@ -33,7 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--trials", type=int, default=None, help="trial count override")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="concurrent trials")
     return parser
 
 
@@ -46,7 +45,7 @@ def main(argv=None) -> int:
         return 2
     if args.command == "selftest":
         return 0 if experiments.selftest(cfg) else 3
-    summary = _RUNNERS[args.command](cfg, args.out, threads=args.threads)
+    summary = _RUNNERS[args.command](cfg, args.out)
     print(f"{args.command}: wrote results under {args.out}/")
     for key in sorted(summary)[:8]:
         print(f"  {key}: {summary[key]}")

@@ -269,7 +269,9 @@ def _validate(cfg: ExperimentConfig):
     if unknown:
         problems.append(f"tradeoff: unknown algorithms {unknown}, expected 'vec' or 'sca'")
     for name, items in (("scene.targets", cfg.scene.targets),
-                        ("beam_scan.slots", cfg.beam_scan.slots)):
+                        ("beam_scan.slots", cfg.beam_scan.slots),
+                        ("tradeoff.structures", cfg.tradeoff.structures),
+                        ("se_sweep.structures", cfg.se_sweep.structures)):
         if not items:
             problems.append(f"{name} must not be empty")
     if not cfg.scene.noise_power >= 0:

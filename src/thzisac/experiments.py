@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,14 +49,6 @@ def write_summary(path: str, payload: dict, cfg: ExperimentConfig, experiment: s
         fh.write("\n")
 
 
-def map_trials(fn, count: int, threads: int = 1) -> list:
-    """Run fn(i) for i in range(count); results in index order regardless of pool."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 # ---------------------------------------------------------------------------
 # Shared precoding helpers
 # ---------------------------------------------------------------------------
@@ -89,16 +80,11 @@ def _design_precoders(cfg: ExperimentConfig, comm_opt, codebook, q: int, eta: fl
     raise ValueError(f"unknown algorithm '{algorithm}'")
 
 
-def _hybrid_se(chan, precoders, comb_opt, rho, sigma2=1.0):
-    return precoding.spectral_efficiency(chan, precoders.tx_matrices(), comb_opt,
-                                         rho, sigma2)
-
-
 # ---------------------------------------------------------------------------
 # Tradeoff and SE sweep
 # ---------------------------------------------------------------------------
 
-def run_tradeoff(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
+def run_tradeoff(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Spectral efficiency against transmit scan-beam gain over the weight grid."""
     frame = cfg.frame.to_frame()
     tx_geom, rx_geom = cfg.arrays.tx_geom(), cfg.arrays.rx_geom()
@@ -133,12 +119,13 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
                         child_rng(cfg.seed, "tradeoff", r, n_c, spec.eta_grid.index(eta)),
                         comm_analog=comm_only)
                     rows[(algorithm, n_c, eta)] = (
-                        _hybrid_se(chan, pre, comb_opt, rho),
+                        precoding.spectral_efficiency(chan, pre.tx_matrices(), comb_opt,
+                                                      rho, 1.0),
                         precoding.sensing_gain_dbi(pre, codebook, q, tx_geom))
         return rows
 
-    for rows in map_trials(one_realization, cfg.trials, threads):
-        for key, (se, gain) in rows.items():
+    for r in range(cfg.trials):
+        for key, (se, gain) in one_realization(r).items():
             acc.setdefault(key, []).append((se, gain))
 
     out_rows = []
@@ -162,7 +149,7 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     return summary
 
 
-def run_se_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
+def run_se_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Spectral efficiency versus SNR for the configured weights and structures."""
     frame = cfg.frame.to_frame()
     tx_geom, rx_geom = cfg.arrays.tx_geom(), cfg.arrays.rx_geom()
@@ -189,11 +176,12 @@ def run_se_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
                                                   spec.etas.index(eta)))
                 for snr in spec.snr_grid_db:
                     rho = 10.0 ** (snr / 10.0)
-                    rows[("vec", n_c, eta, snr)] = _hybrid_se(chan, pre, comb_opt, rho)
+                    rows[("vec", n_c, eta, snr)] = precoding.spectral_efficiency(
+                        chan, pre.tx_matrices(), comb_opt, rho, 1.0)
         return rows
 
-    for rows in map_trials(one_realization, cfg.trials, threads):
-        for key, se in rows.items():
+    for r in range(cfg.trials):
+        for key, se in one_realization(r).items():
             acc.setdefault(key, []).append(se)
 
     out_rows = [(alg, n_c, eta, snr, float(np.mean(v)))
@@ -218,7 +206,7 @@ def run_se_sweep(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
 # Beam scan
 # ---------------------------------------------------------------------------
 
-def run_beam_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
+def run_beam_scan(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Per-slot transmit beampattern: scanning sensing lobe, stable comm lobes."""
     frame = cfg.frame.to_frame()
     tx_geom, rx_geom = cfg.arrays.tx_geom(), cfg.arrays.rx_geom()
@@ -265,6 +253,22 @@ def run_beam_scan(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict
 # Monte-Carlo RMSE
 # ---------------------------------------------------------------------------
 
+def _greedy_match(truths, candidates, distance) -> list:
+    """Greedy assignment: each truth in turn takes the free candidate nearest to it.
+
+    Nearness is distance(truth, candidate), ties go to the earlier candidate,
+    and a truth left with no free candidate gets None.
+    """
+    free = list(range(len(candidates)))
+    matches = []
+    for truth in truths:
+        best = min(free, key=lambda i: distance(truth, candidates[i]), default=None)
+        if best is not None:
+            free.remove(best)
+        matches.append(None if best is None else candidates[best])
+    return matches
+
+
 def _target_tx_gains(targets, precoders, tx_geom, ns):
     """Average transmit power toward each target under the designed beams."""
     gains = []
@@ -275,7 +279,7 @@ def _target_tx_gains(targets, precoders, tx_geom, ns):
     return np.array(gains)
 
 
-def run_mc_rmse(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
+def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Full estimation pipeline RMSE versus sensing SNR."""
     spec = cfg.mc_rmse
     frame = cfg.frame.to_frame(delta_f_khz=spec.delta_f_khz)
@@ -299,8 +303,7 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
                  for q in slot_map}
     rx_switch = arr.rx_switch()
 
-    def one_trial(args):
-        i_snr, snr_db, trial = args
+    def one_trial(i_snr, snr_db, trial):
         rng = child_rng(cfg.seed, "mc-rmse", 1 + i_snr, trial)
         errors = []
         for q, specs in sorted(slot_map.items()):
@@ -320,20 +323,12 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
             ests = sensing_rx.estimate_slot(block, comb, pre, symbols, frame, search,
                                             len(targets), tx_geom, rx_geom,
                                             grid_step_deg=spec.music_step_deg)
-            used = set()
-            for tgt in targets:
-                best, b_i = None, None
-                for i, (theta, est) in enumerate(ests):
-                    if i in used:
-                        continue
-                    d = abs(theta - tgt.azimuth)
-                    if best is None or d < best:
-                        best, b_i = d, i
-                if b_i is None:
+            nearest = _greedy_match(targets, ests, lambda t, e: abs(e[0] - t.azimuth))
+            for tgt, match in zip(targets, nearest):
+                if match is None:
                     errors.append((np.inf, np.inf, np.inf))
                     continue
-                theta, est = ests[b_i]
-                used.add(b_i)
+                theta, est = match
                 errors.append((np.rad2deg(theta - tgt.azimuth),
                                est.range_hat - tgt.range_m,
                                est.velocity_hat - tgt.velocity_mps))
@@ -342,11 +337,8 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     rows = []
     summary_pts = {}
     for i_snr, snr_db in enumerate(spec.snr_grid_db):
-        tasks = [(i_snr, snr_db, t) for t in range(cfg.trials)]
-        all_errs = []
-        for errs in map_trials(lambda k: one_trial(tasks[k]), len(tasks), threads):
-            all_errs.extend(errs)
-        e = np.array(all_errs)
+        e = np.array([err for trial in range(cfg.trials)
+                      for err in one_trial(i_snr, snr_db, trial)])
         det = ((np.abs(e[:, 0]) <= spec.angle_gate_deg)
                & (np.abs(e[:, 1]) <= spec.range_gate_m)
                & (np.abs(e[:, 2]) <= spec.velocity_gate_mps))
@@ -386,22 +378,8 @@ def _collapsed_scene(target_specs, noise_power, rng):
     return isi_ici.resolve_collapsed_coeffs(scene, rng)
 
 
-def _match_estimates(true_ranges, estimates):
-    """Greedy nearest-range assignment of estimates to ground truth."""
-    pairs = []
-    free = list(range(len(estimates)))
-    for r in true_ranges:
-        if not free:
-            pairs.append((r, None))
-            continue
-        best = min(free, key=lambda i: abs(estimates[i].range_hat - r))
-        free.remove(best)
-        pairs.append((r, estimates[best]))
-    return pairs
-
-
 def _isi_ici_scenario(cfg, exp_name, frame, target_specs, out_rows, prof_rows,
-                      scenario, spec, threads=1):
+                      scenario, spec):
     """Run one demo scenario: per-trial tackled SIC and unaware peak-picking."""
     tau_max = ch.delay_of_range(spec.max_range_m)
     nu_max = ch.doppler_of_velocity(spec.max_speed_mps, frame.fc)
@@ -420,13 +398,14 @@ def _isi_ici_scenario(cfg, exp_name, frame, target_specs, out_rows, prof_rows,
             y, pair, frame, p_count, tau_max)]
         return pair, y, tackled, unaware
 
-    results = map_trials(one_trial, cfg.trials, threads)
+    results = [one_trial(trial) for trial in range(cfg.trials)]
     true_ranges = [t.range_m for t in target_specs]
     errs = {"tackled": {r: [] for r in true_ranges},
             "unaware": {r: [] for r in true_ranges}}
     for trial, (pair, y, tackled, unaware) in enumerate(results):
         for name, ests in (("tackled", tackled), ("unaware", unaware)):
-            for r, est in _match_estimates(true_ranges, ests):
+            nearest = _greedy_match(true_ranges, ests, lambda r, e: abs(e.range_hat - r))
+            for r, est in zip(true_ranges, nearest):
                 err = abs(est.range_hat - r) if est is not None else np.inf
                 errs[name][r].append(err)
                 out_rows.append((scenario["label"], trial, name, r,
@@ -451,7 +430,7 @@ def _isi_ici_scenario(cfg, exp_name, frame, target_specs, out_rows, prof_rows,
             for name, per in errs.items()}
 
 
-def run_isi_demo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
+def run_isi_demo(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Delay-beyond-CP study: control numerology versus short-CP numerology."""
     spec = cfg.isi_demo
     out_rows, prof_rows, summary = [], [], {}
@@ -461,7 +440,7 @@ def run_isi_demo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
         frame = cfg.frame.to_frame(m_subcarriers=spec.m_subcarriers, delta_f_khz=df_khz)
         summary[label] = _isi_ici_scenario(
             cfg, "isi-demo", frame, spec.targets, out_rows, prof_rows,
-            {"label": label, "index": index}, spec, threads)
+            {"label": label, "index": index}, spec)
         summary[label]["cp_limited_range_m"] = isi_ici.cp_limited_range(frame)
     write_csv(os.path.join(out_dir, "isi_demo_estimates.csv"),
               ["scenario", "trial", "estimator", "true_range_m", "est_range_m",
@@ -474,7 +453,7 @@ def run_isi_demo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
     return summary
 
 
-def run_ici_demo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
+def run_ici_demo(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Doppler-versus-spacing study: low-mobility control versus strong ICI."""
     spec = cfg.ici_demo
     frame = cfg.frame.to_frame(m_subcarriers=spec.m_subcarriers,
@@ -485,7 +464,7 @@ def run_ici_demo(cfg: ExperimentConfig, out_dir: str, threads: int = 1) -> dict:
         targets = [dataclasses.replace(t, velocity_mps=v) for t in spec.targets]
         summary[label] = _isi_ici_scenario(
             cfg, "ici-demo", frame, targets, out_rows, prof_rows,
-            {"label": label, "index": index}, spec, threads)
+            {"label": label, "index": index}, spec)
     summary["doppler_v50_hz"] = ch.doppler_of_velocity(spec.velocity_ici_mps, frame.fc)
     summary["delta_f_hz"] = frame.delta_f
     write_csv(os.path.join(out_dir, "ici_demo_estimates.csv"),

@@ -76,7 +76,9 @@ def test_validation_errors():
             ({"scene": {"targets": []}}, "scene.targets must not be empty"),
             ({"mc_rmse": {"delta_f_khz": 0}}, "mc_rmse: delta_f and fc must be positive"),
             ({"arrays": {"n_rf_tx": 0}}, "arrays: n_rf_tx must be >= 1"),
-            ({"beam_scan": {"slots": []}}, "beam_scan.slots must not be empty")):
+            ({"beam_scan": {"slots": []}}, "beam_scan.slots must not be empty"),
+            ({"tradeoff": {"structures": []}}, "tradeoff.structures must not be empty"),
+            ({"se_sweep": {"structures": []}}, "se_sweep.structures must not be empty")):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
     # every numeric field and list entry is checked against its declared type
@@ -217,12 +219,20 @@ def test_isi_demo_small(tmp_path):
     assert max(values) <= 1.0 + 1e-12  # profiles normalized to peak 1
 
 
-def test_threaded_trials_reproduce_serial(tmp_path):
-    cfg = _tiny_config(trials=3)
-    experiments.run_se_sweep(cfg, str(tmp_path / "serial"), threads=1)
-    experiments.run_se_sweep(cfg, str(tmp_path / "pool"), threads=2)
-    assert (tmp_path / "serial" / "se_sweep.csv").read_bytes() == \
-        (tmp_path / "pool" / "se_sweep.csv").read_bytes()
+def test_trial_rows_do_not_depend_on_trial_count(tmp_path):
+    # each trial draws from its own (experiment, trial) stream, so a second trial
+    # leaves trial 0's estimates and the trial-0 range profiles as they were;
+    # the provenance line differs because the config hash covers the trial count
+    def rows(trials, name):
+        return (tmp_path / str(trials) / name).read_text().splitlines()[1:]
+
+    for trials in (1, 2):
+        experiments.run_isi_demo(_tiny_config(trials=trials), str(tmp_path / str(trials)))
+    by_trial = {trials: [r.split(",") for r in rows(trials, "isi_demo_estimates.csv")[1:]]
+                for trials in (1, 2)}
+    assert {r[1] for r in by_trial[2]} == {"0", "1"}
+    assert by_trial[1] == [r for r in by_trial[2] if r[1] == "0"]
+    assert rows(1, "isi_demo_profiles.csv") == rows(2, "isi_demo_profiles.csv")
 
 
 def test_selftest_passes(capsys):
@@ -248,7 +258,8 @@ def test_cli_config_error_exit_two(tmp_path):
     assert cli_main(["tradeoff", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
     for command, text in (("tradeoff", "arrays:\n  n_rf_tx: 0\n"),
-                          ("mc-rmse", "scene:\n  targets: []\n")):
+                          ("mc-rmse", "scene:\n  targets: []\n"),
+                          ("se-sweep", "se_sweep:\n  structures: []\n")):
         bad.write_text(text)
         assert cli_main([command, "--config", str(bad), "--out", str(tmp_path),
                          "--trials", "1"]) == 2
@@ -276,6 +287,16 @@ def test_cli_runs_experiment(tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "beam_scan.csv").exists()
     assert (tmp_path / "out" / "beam_scan_summary.json").exists()
+
+
+def test_package_imports_neither_scipy_nor_a_pool():
+    # the package depends on numpy and PyYAML only and runs trials serially; the
+    # test oracles import scipy into this process, so only a fresh interpreter can tell
+    code = ("import sys, thzisac, thzisac.config, thzisac.experiments, thzisac.cli; "
+            "print([m for m in ('scipy', 'concurrent.futures') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_entry_point_subprocess():
