@@ -3,12 +3,13 @@ import pytest
 
 from thzisac.channel import SensingScene, SensingTarget
 from thzisac.geometry import (AngularWindow, UpaGeometry, dft_codebook,
-                              sensing_window, slot_for_angle, steering_upa)
+                              sensing_window, slot_for_angle, steering_many,
+                              steering_upa)
 from thzisac.precoding import (PrecoderSet, PrecodingTargets,
                                default_switch_pattern, optimal_sensing_precoder,
                                vec_hybrid_precoding)
-from thzisac.sensing_rx import (MlProfile, golden_section_max, gss_refine,
-                                ml_profile, music_spectrum, receive_combiner,
+from thzisac.sensing_rx import (MlProfile, ObservationBlock, golden_section_max,
+                                gss_refine, ml_profile, music_spectrum, receive_combiner,
                                 reconstruct_reference, sdft_coarse, simulate_rx,
                                 estimate_slot)
 from thzisac.waveform import FrameConfig, generate_symbols
@@ -124,6 +125,82 @@ def test_simulate_rx_matches_dense_channel(geom, frame, rng):
         h = sensing_channel(scene, m, n, 2, frame, geom, geom, check_model=False)
         want = comb.matrix.conj().T @ h @ pre.tx_matrix(m) @ sym[:, m, n]
         np.testing.assert_allclose(block.y[:, m, n], want, atol=1e-10)
+
+
+# Chance that a correct noise path fails one combiner case, split evenly
+# (Bonferroni) over that case's probes; fixed before the test was first run.
+NOISE_FALSE_ALARM = 1e-6
+
+
+def _noise_combiner(case, geom, rng):
+    window = AngularWindow(0.1, 0.3, 1)
+    k = geom.n_elements // 4
+    if case == "aosa":
+        return receive_combiner(window, 4, geom, rng, switch=default_switch_pattern(4, 4, k))
+    comb = receive_combiner(window, 4, geom, rng, switch=default_switch_pattern(4, 16, k))
+    if case == "rank-deficient":
+        comb.matrix[:, 2] = comb.matrix[:, 0]  # two identical beams: W^H W is singular
+    return comb
+
+
+@pytest.mark.parametrize("case", ["aosa", "fc", "rank-deficient"])
+def test_simulate_rx_noise_covariance(geom, frame, case):
+    # With no targets the block is W^H e, e ~ CN(0, s2 I), so every column is
+    # CN(0, s2 W^H W). For a probe c with v = c^H s2 W^H W c > 0,
+    # 2 sum_k |c^H y_k|^2 / v is chi-square with 2n degrees of freedom over n
+    # columns; the probes e_i, (e_i + e_j)/sqrt2 and (e_i + 1j e_j)/sqrt2
+    # determine the whole covariance. Directions of a null eigenvalue must
+    # carry no noise beyond round-off.
+    from scipy.stats import chi2
+    rng = np.random.default_rng(4242)
+    comb = _noise_combiner(case, geom, rng)
+    s2 = 0.7
+    pre = _identity_precoders(geom.n_elements, 4, 4, frame.m_subcarriers)
+    sym = generate_symbols(frame, 4, rng)
+    scene = SensingScene([], noise_power=s2)
+    y = np.concatenate([simulate_rx(scene, pre, sym, comb, frame, 1, geom, geom, rng,
+                                    check_model=False).stacked() for _ in range(40)], axis=1)
+    n = y.shape[1]
+    cov = s2 * comb.matrix.conj().T @ comb.matrix
+    eye = np.eye(4)
+    probes = [eye[i] for i in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            probes += [(eye[i] + eye[j]) / np.sqrt(2), (eye[i] + 1j * eye[j]) / np.sqrt(2)]
+    alpha = NOISE_FALSE_ALARM / len(probes)
+    lo, hi = chi2.ppf(alpha / 2, 2 * n), chi2.isf(alpha / 2, 2 * n)
+    for c in probes:
+        v = np.real(c.conj() @ cov @ c)
+        assert v > 1e-3 * s2  # no probe of this set falls in a null direction
+        stat = 2.0 * np.sum(np.abs(c.conj() @ y) ** 2) / v
+        assert lo <= stat <= hi, (c, stat / (2 * n))
+    evals, evecs = np.linalg.eigh(cov)
+    null = evecs[:, evals < 1e-9 * evals.max()]
+    assert null.shape[1] == (1 if case == "rank-deficient" else 0)
+    assert np.sum(np.abs(null.conj().T @ y) ** 2) / n <= 1e-12 * s2
+
+
+@pytest.mark.parametrize("w_count,l_count", [(8, 4), (4, 8)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_music_spectrum_matches_dense_manifold(w_count, l_count, masked):
+    # the pseudo-spectrum against W^H a(theta) formed from full steering vectors;
+    # non-square arrays so a swapped y/z layout fails, elevation off pi/2
+    geom = UpaGeometry(w_count, l_count)
+    rng = np.random.default_rng(w_count * 10 + masked)
+    phi = 1.2
+    switch = default_switch_pattern(4, 4, geom.n_elements // 4) if masked else None
+    comb = receive_combiner(AngularWindow(-0.6, 0.4, 1), 4, geom, rng, switch=switch,
+                            elevation=phi)
+    block = ObservationBlock(rng.standard_normal((4, 16, 8))
+                             + 1j * rng.standard_normal((4, 16, 8)))
+    grid = np.linspace(-1.5, 1.5, 301)
+    res = music_spectrum(block, comb, 1, grid, geom, elevation=phi)
+    y = block.stacked()
+    evals, evecs = np.linalg.eigh(y @ y.conj().T / y.shape[1])
+    u_n = evecs[:, np.argsort(evals)[::-1][1:]]
+    t = comb.matrix.conj().T @ steering_many(grid, phi, geom)
+    want = np.sum(np.abs(t) ** 2, axis=0) / np.sum(np.abs(u_n.conj().T @ t) ** 2, axis=0)
+    np.testing.assert_allclose(res.spectrum, want, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
