@@ -70,6 +70,20 @@ class SensingCodebook:
         return self.columns.shape[1]
 
 
+def steering_factors(thetas, phi: float, geom: UpaGeometry) -> tuple:
+    """Kronecker factors (a_z, a_y) of the UPA response over a grid of azimuths.
+
+    a_z is (l_count,) and depends on phi alone; a_y is (w_count, len(thetas)).
+    The unit-norm steering vector toward thetas[k] is kron(a_z, a_y[:, k]).
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    w = np.arange(geom.w_count)
+    l = np.arange(geom.l_count)
+    a_y = np.exp(1j * np.pi * np.outer(w, np.sin(thetas) * np.sin(phi))) / np.sqrt(geom.w_count)
+    a_z = np.exp(1j * np.pi * l * np.cos(phi)) / np.sqrt(geom.l_count)
+    return a_z, a_y
+
+
 def steering_upa(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
     """Unit-norm UPA array response a_z(phi) kron a_y(theta, phi).
 
@@ -84,13 +98,9 @@ def steering_upa(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
 
 def steering_many(thetas: np.ndarray, phi: float, geom: UpaGeometry) -> np.ndarray:
     """Steering vectors for a grid of azimuths, stacked as columns (n_elements, len(thetas))."""
-    thetas = np.asarray(thetas, dtype=float)
-    w = np.arange(geom.w_count)
-    l = np.arange(geom.l_count)
-    a_y = np.exp(1j * np.pi * np.outer(w, np.sin(thetas) * np.sin(phi))) / np.sqrt(geom.w_count)
-    a_z = np.exp(1j * np.pi * l * np.cos(phi)) / np.sqrt(geom.l_count)
+    a_z, a_y = steering_factors(thetas, phi, geom)
     # column-wise Kronecker (z-major layout)
-    return (a_z[:, None, None] * a_y[None, :, :]).reshape(geom.n_elements, thetas.size)
+    return (a_z[:, None, None] * a_y[None, :, :]).reshape(geom.n_elements, a_y.shape[1])
 
 
 def codebook_direction(q: int, w_count: int) -> float:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .channel import (SensingScene, awgn, check_isi_ici_free, range_of_delay,
                       velocity_of_doppler)
-from .geometry import AngularWindow, UpaGeometry, steering_many, steering_upa
+from .geometry import (AngularWindow, UpaGeometry, steering_factors, steering_many,
+                       steering_upa)
 from .precoding import PrecoderSet, SwitchMatrix
 from .waveform import FrameConfig
 
@@ -79,7 +80,10 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
     """Combined received block for one slot under the ISI/ICI-free channel.
 
     y_q[m,n] = W^H H_s[m,n] F_RF F_BB[m] s[m,n] + W^H e[m,n], evaluated through
-    the rank-P factorization of H_s so large arrays stay tall-skinny.
+    the rank-P factorization of H_s so large arrays stay tall-skinny. The
+    combined noise W^H e ~ CN(0, sigma^2 W^H W) is drawn in the RF-chain
+    domain: n_rf white rows coloured by an eigen factor of the Gram W^H W,
+    which also holds when the Gram is singular.
     """
     if check_model:
         check_isi_ici_free(scene, frame)
@@ -100,8 +104,9 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
         phase = np.exp(-2j * np.pi * m_idx[:, None] * frame.delta_f * tgt.delay()) \
             * np.exp(2j * np.pi * t_sym[None, :] * tgt.doppler(frame.fc))
         y3 += scale * tgt.coeff * c_p[:, None, None] * (phase * xi)[None]
-    noise = awgn((rx_geom.n_elements, m_sc * n_sym), scene.noise_power, rng)
-    y3 += (combiner.matrix.conj().T @ noise).reshape(combiner.n_rf, m_sc, n_sym)
+    lam, vecs = np.linalg.eigh(combiner.matrix.conj().T @ combiner.matrix)
+    noise = awgn((combiner.n_rf, m_sc * n_sym), scene.noise_power, rng)
+    y3 += ((vecs * np.sqrt(np.maximum(lam, 0.0))) @ noise).reshape(combiner.n_rf, m_sc, n_sym)
     return ObservationBlock(y=y3, slot_index=q)
 
 
@@ -129,6 +134,9 @@ def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
     P(theta) = ||W^H a(theta)||^2 / ||U_n^H W^H a(theta)||^2, with U_n the
     noise eigenvectors of the sample covariance of the stacked block. Peak
     locations get a parabolic refinement on the noise-projection minimum.
+    W^H a(theta) is formed through the Kronecker factors a_z kron a_y(theta):
+    a_z is folded into the combiner once, leaving a (n_rf, W) by (W, grid)
+    product.
     """
     if p_q >= block.n_rf:
         raise ValueError(f"p_q={p_q} leaves no noise subspace with {block.n_rf} chains")
@@ -140,7 +148,9 @@ def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
     u_n = evecs[:, p_q:]
 
     angle_grid = np.asarray(angle_grid, dtype=float)
-    t = combiner.matrix.conj().T @ steering_many(angle_grid, elevation, geom)
+    a_z, a_y = steering_factors(angle_grid, elevation, geom)
+    w_y = np.tensordot(a_z, combiner.matrix.conj().reshape(geom.l_count, geom.w_count, -1), 1)
+    t = w_y.T @ a_y
     num = np.sum(np.abs(t) ** 2, axis=0)
     den = np.sum(np.abs(u_n.conj().T @ t) ** 2, axis=0)
     spectrum = num / np.maximum(den, 1e-300)

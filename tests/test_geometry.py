@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from thzisac.geometry import (AngularWindow, UpaGeometry, codebook_direction,
                               dft_codebook, sensing_window, slot_for_angle,
-                              steering_many, steering_upa)
+                              steering_factors, steering_many, steering_upa)
 
 from oracles import steering_scalar_loop
 
@@ -57,6 +57,18 @@ def test_steering_many_matches_single(rng):
     for k, th in enumerate(thetas):
         np.testing.assert_allclose(cols[:, k], steering_upa(th, np.pi / 2, geom),
                                    atol=1e-13)
+
+
+@pytest.mark.parametrize("w_count,l_count", [(8, 4), (4, 8)])
+def test_steering_factors_kron_matches_scalar_loop(w_count, l_count, rng):
+    # non-square arrays so a swapped y/z layout fails
+    thetas = rng.uniform(-np.pi / 2, np.pi / 2, size=5)
+    phi = 1.2
+    a_z, a_y = steering_factors(thetas, phi, UpaGeometry(w_count, l_count))
+    assert a_z.shape == (l_count,) and a_y.shape == (w_count, 5)
+    for k, th in enumerate(thetas):
+        np.testing.assert_allclose(np.kron(a_z, a_y[:, k]),
+                                   steering_scalar_loop(th, phi, w_count, l_count), atol=1e-13)
 
 
 def test_codebook_direction_grid_value():
