@@ -271,9 +271,19 @@ def _validate(cfg: ExperimentConfig):
     for name, items in (("scene.targets", cfg.scene.targets),
                         ("beam_scan.slots", cfg.beam_scan.slots),
                         ("tradeoff.structures", cfg.tradeoff.structures),
-                        ("se_sweep.structures", cfg.se_sweep.structures)):
+                        ("se_sweep.structures", cfg.se_sweep.structures),
+                        ("tradeoff.eta_grid", cfg.tradeoff.eta_grid),
+                        ("se_sweep.snr_grid_db", cfg.se_sweep.snr_grid_db),
+                        ("mc_rmse.snr_grid_db", cfg.mc_rmse.snr_grid_db)):
         if not items:
             problems.append(f"{name} must not be empty")
+    azimuths = [(f"scene.targets[{i}].azimuth_deg", t.azimuth_deg)
+                for i, t in enumerate(cfg.scene.targets)]
+    azimuths += [(f"{name}.sensing_azimuth_deg", spec.sensing_azimuth_deg)
+                 for name, spec in (("tradeoff", cfg.tradeoff), ("se_sweep", cfg.se_sweep))]
+    for name, azimuth in azimuths:
+        if not -90.0 <= azimuth <= 90.0:  # the azimuth convention of geometry.py
+            problems.append(f"{name} {azimuth} outside [-90, 90]")
     if not cfg.scene.noise_power >= 0:
         problems.append(f"scene.noise_power must be >= 0, got {cfg.scene.noise_power}")
     slots = [q for q in cfg.beam_scan.slots if not 1 <= q <= arr.w_tx]

@@ -78,7 +78,16 @@ def test_validation_errors():
             ({"arrays": {"n_rf_tx": 0}}, "arrays: n_rf_tx must be >= 1"),
             ({"beam_scan": {"slots": []}}, "beam_scan.slots must not be empty"),
             ({"tradeoff": {"structures": []}}, "tradeoff.structures must not be empty"),
-            ({"se_sweep": {"structures": []}}, "se_sweep.structures must not be empty")):
+            ({"se_sweep": {"structures": []}}, "se_sweep.structures must not be empty"),
+            ({"tradeoff": {"eta_grid": []}}, "tradeoff.eta_grid must not be empty"),
+            ({"se_sweep": {"snr_grid_db": []}}, "se_sweep.snr_grid_db must not be empty"),
+            ({"mc_rmse": {"snr_grid_db": []}}, "mc_rmse.snr_grid_db must not be empty"),
+            ({"scene": {"targets": [{}, {"azimuth_deg": 170}]}},
+             r"scene.targets\[1\].azimuth_deg 170 outside \[-90, 90\]"),
+            ({"tradeoff": {"sensing_azimuth_deg": -95}},
+             r"tradeoff.sensing_azimuth_deg -95 outside \[-90, 90\]"),
+            ({"se_sweep": {"sensing_azimuth_deg": 90.5}},
+             r"se_sweep.sensing_azimuth_deg 90.5 outside \[-90, 90\]")):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
     # every numeric field and list entry is checked against its declared type
@@ -259,7 +268,8 @@ def test_cli_config_error_exit_two(tmp_path):
     assert cli_main(["se-sweep", "--config", str(tmp_path / "missing.yaml")]) == 2
     for command, text in (("tradeoff", "arrays:\n  n_rf_tx: 0\n"),
                           ("mc-rmse", "scene:\n  targets: []\n"),
-                          ("se-sweep", "se_sweep:\n  structures: []\n")):
+                          ("se-sweep", "se_sweep:\n  structures: []\n"),
+                          ("mc-rmse", "scene:\n  targets:\n    - azimuth_deg: 170\n")):
         bad.write_text(text)
         assert cli_main([command, "--config", str(bad), "--out", str(tmp_path),
                          "--trials", "1"]) == 2
