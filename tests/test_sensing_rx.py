@@ -180,6 +180,10 @@ def test_simulate_rx_noise_covariance(geom, frame, case):
     assert np.sum(np.abs(null.conj().T @ y) ** 2) / n <= 1e-12 * s2
 
 
+# ---------------------------------------------------------------------------
+# MUSIC
+# ---------------------------------------------------------------------------
+
 @pytest.mark.parametrize("w_count,l_count", [(8, 4), (4, 8)])
 @pytest.mark.parametrize("masked", [False, True])
 def test_music_spectrum_matches_dense_manifold(w_count, l_count, masked):
@@ -202,10 +206,6 @@ def test_music_spectrum_matches_dense_manifold(w_count, l_count, masked):
     want = np.sum(np.abs(t) ** 2, axis=0) / np.sum(np.abs(u_n.conj().T @ t) ** 2, axis=0)
     np.testing.assert_allclose(res.spectrum, want, rtol=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# MUSIC
-# ---------------------------------------------------------------------------
 
 def _noiseless_block(geom, frame, theta, rng, ns=4, n_rf=4, coeff=1.0 + 0j,
                      velocity=0.0, range_m=4.0, noise=0.0):
