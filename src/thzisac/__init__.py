@@ -12,8 +12,9 @@ from .geometry import (AngularWindow, SensingCodebook, UpaGeometry, dft_codebook
                        sensing_window, slot_for_angle, steering_upa)
 from .isi_ici import (ExtendedTxPair, apply_channel_operator, cp_limited_range,
                       isi_ici_rx, successive_cancellation, tackled_estimate)
-from .precoding import (PrecoderSet, PrecodingTargets, SwitchMatrix,
-                        default_switch_pattern, optimal_fully_digital,
+from .precoding import (CombinedReceiver, CommTarget, PrecoderSet, PrecodingTargets,
+                        SwitchMatrix, combined_receiver, default_switch_pattern,
+                        optimal_fully_digital,
                         optimal_sensing_precoder, sca_hybrid_precoding,
                         spectral_efficiency, transmit_beampattern,
                         vec_hybrid_precoding)

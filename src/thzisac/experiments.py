@@ -64,19 +64,30 @@ def _comm_channel(cfg: ExperimentConfig, tx_geom, rx_geom, frame, rng):
                                   np.deg2rad(comm.path_spread_deg), comm.los_range_m)
 
 
-def _design_precoders(cfg: ExperimentConfig, comm_opt, codebook, q: int, eta: float,
+def _comm_design(chan, ns: int):
+    """SVD precoders and combiners of the channel, and the precoders as a CommTarget.
+
+    The target is factored once per channel in the channel's own basis Q_t,
+    rank P, unless the channel has fewer paths than streams: the SVD then
+    pads its precoders outside that span, and they take their own thin QR.
+    """
+    comm_opt, comb_opt, _ = precoding.optimal_fully_digital(chan, ns)
+    basis = chan.tx_qr()[0] if chan.n_paths >= ns else None
+    return comm_opt, comb_opt, precoding.CommTarget.factor(comm_opt, basis)
+
+
+def _design_precoders(cfg: ExperimentConfig, comm, codebook, q: int, eta: float,
                       n_closed: int, algorithm: str, rng, comm_analog=None):
     arr = cfg.arrays
     switch = arr.tx_switch(n_closed)
     if algorithm == "vec":
         sense_opt = precoding.optimal_sensing_precoder(codebook, q, arr.n_streams)
-        targets = precoding.PrecodingTargets(comm_opt, sense_opt, eta)
+        targets = precoding.PrecodingTargets(comm, sense_opt, eta)
         return precoding.vec_hybrid_precoding(targets, switch, rng=rng)
     if algorithm == "sca":
         if comm_analog is None:
             raise ValueError("SCA needs the communication-only analog precoder")
-        return precoding.sca_hybrid_precoding(comm_opt, codebook, q, eta,
-                                              comm_analog, switch)
+        return precoding.sca_hybrid_precoding(comm, codebook, q, eta, comm_analog, switch)
     raise ValueError(f"unknown algorithm '{algorithm}'")
 
 
@@ -99,10 +110,13 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str) -> dict:
     def one_realization(r):
         rng = child_rng(cfg.seed, "tradeoff", r)
         chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-        comm_opt, comb_opt, _ = precoding.optimal_fully_digital(chan, ns)
+        comm_opt, comb_opt, comm = _comm_design(chan, ns)
+        # the rate's combiner side, once per realization; each design adds A_t^H F[m]
+        receiver = precoding.combined_receiver(chan, comb_opt, 1.0)
+        a_t_h = chan.factors()[1].conj().T
         rows = {}
         rows[("digital", 0, 1.0)] = (
-            precoding.spectral_efficiency(chan, comm_opt, comb_opt, rho, 1.0),
+            receiver.rate(a_t_h @ comm_opt, rho),
             float(precoding.transmit_beampattern(
                 None, comm_opt,
                 np.array([codebook.direction_angles[q - 1]]), tx_geom)[0]))
@@ -112,15 +126,14 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str) -> dict:
                 for eta in spec.eta_grid:
                     if algorithm == "sca" and comm_only is None:
                         comm_only = _design_precoders(
-                            cfg, comm_opt, codebook, q, 1.0, n_c, "vec",
+                            cfg, comm, codebook, q, 1.0, n_c, "vec",
                             child_rng(cfg.seed, "tradeoff", r, n_c)).analog
                     pre = _design_precoders(
-                        cfg, comm_opt, codebook, q, eta, n_c, algorithm,
+                        cfg, comm, codebook, q, eta, n_c, algorithm,
                         child_rng(cfg.seed, "tradeoff", r, n_c, spec.eta_grid.index(eta)),
                         comm_analog=comm_only)
                     rows[(algorithm, n_c, eta)] = (
-                        precoding.spectral_efficiency(chan, pre.tx_matrices(), comb_opt,
-                                                      rho, 1.0),
+                        receiver.rate(pre.beam_response(a_t_h), rho),
                         precoding.sensing_gain_dbi(pre, codebook, q, tx_geom))
         return rows
 
@@ -163,22 +176,18 @@ def run_se_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     def one_realization(r):
         rng = child_rng(cfg.seed, "se-sweep", r)
         chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-        comm_opt, comb_opt, _ = precoding.optimal_fully_digital(chan, ns)
-        rows = {}
-        for i_snr, snr in enumerate(spec.snr_grid_db):
-            rho = 10.0 ** (snr / 10.0)
-            rows[("digital", 0, 1.0, snr)] = precoding.spectral_efficiency(
-                chan, comm_opt, comb_opt, rho, 1.0)
+        comm_opt, comb_opt, comm = _comm_design(chan, ns)
+        receiver = precoding.combined_receiver(chan, comb_opt, 1.0)
+        a_t_h = chan.factors()[1].conj().T
+        designs = {("digital", 0, 1.0): a_t_h @ comm_opt}
         for n_c in spec.structures:
             for eta in spec.etas:
-                pre = _design_precoders(cfg, comm_opt, codebook, q, eta, n_c, "vec",
+                pre = _design_precoders(cfg, comm, codebook, q, eta, n_c, "vec",
                                         child_rng(cfg.seed, "se-sweep", r, n_c,
                                                   spec.etas.index(eta)))
-                for snr in spec.snr_grid_db:
-                    rho = 10.0 ** (snr / 10.0)
-                    rows[("vec", n_c, eta, snr)] = precoding.spectral_efficiency(
-                        chan, pre.tx_matrices(), comb_opt, rho, 1.0)
-        return rows
+                designs[("vec", n_c, eta)] = pre.beam_response(a_t_h)
+        return {(*key, snr): receiver.rate(tx_paths, 10.0 ** (snr / 10.0))
+                for key, tx_paths in designs.items() for snr in spec.snr_grid_db}
 
     for r in range(cfg.trials):
         for key, se in one_realization(r).items():
@@ -215,7 +224,7 @@ def run_beam_scan(cfg: ExperimentConfig, out_dir: str) -> dict:
     ns = cfg.arrays.n_streams
     rng = child_rng(cfg.seed, "beam-scan", 0)
     chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-    comm_opt, _, _ = precoding.optimal_fully_digital(chan, ns)
+    _, _, comm = _comm_design(chan, ns)
     angles_deg = np.arange(-90.0, 90.0 + spec.angle_step_deg / 2, spec.angle_step_deg)
     angles = np.deg2rad(angles_deg)
     los_aod = chan.paths[0].aod[0]
@@ -224,7 +233,7 @@ def run_beam_scan(cfg: ExperimentConfig, out_dir: str) -> dict:
     per_slot = {}
     comm_gain_per_slot = []
     for q in spec.slots:
-        pre = _design_precoders(cfg, comm_opt, codebook, q, spec.eta, spec.n_closed,
+        pre = _design_precoders(cfg, comm, codebook, q, spec.eta, spec.n_closed,
                                 "vec", child_rng(cfg.seed, "beam-scan", q))
         pattern = precoding.transmit_beampattern(pre.analog, pre.digital, angles, tx_geom)
         rows.extend((q, round(a, 6), g) for a, g in zip(angles_deg, pattern))
@@ -289,7 +298,7 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
     ns = arr.n_streams
     rng0 = child_rng(cfg.seed, "mc-rmse", 0)
     chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng0)
-    comm_opt, _, _ = precoding.optimal_fully_digital(chan, ns)
+    _, _, comm = _comm_design(chan, ns)
 
     # group targets by the slot whose scan illuminates them
     slot_map = {}
@@ -297,7 +306,7 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
         q = slot_for_angle(np.deg2rad(t.azimuth_deg), tx_geom)
         slot_map.setdefault(q, []).append(t)
 
-    precoders = {q: _design_precoders(cfg, comm_opt, codebook, q, spec.eta,
+    precoders = {q: _design_precoders(cfg, comm, codebook, q, spec.eta,
                                       spec.n_closed, "vec",
                                       child_rng(cfg.seed, "mc-rmse", q, 0))
                  for q in slot_map}

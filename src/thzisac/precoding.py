@@ -10,7 +10,7 @@ transmit beampattern.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -109,7 +109,11 @@ class PrecoderSet:
         return _apply_left(self.analog, self.digital)
 
     def beam_response(self, a_t: np.ndarray) -> np.ndarray:
-        """Per-subcarrier stream gains a_t^T F_RF F_BB[m] toward steering a_t, (M, ns)."""
+        """Per-subcarrier stream gains a_t^T F_RF F_BB[m] toward steering a_t, (M, ns).
+
+        A stack of rows a_t, (k, nt), gives (M, k, ns); with the rows of A_t^H
+        that is the transmit side of the rate, without the (M, nt, ns) product.
+        """
         return (a_t @ self.analog) @ self.digital
 
 
@@ -141,9 +145,9 @@ def optimal_fully_digital(channel, ns: int):
 
 
 def _svd_factored(channel: CommChannel, ns: int):
-    a_r, a_t, gains = channel.factors()
+    a_r, _, gains = channel.factors()
     q_r, r_r = np.linalg.qr(a_r)
-    q_t, r_t = np.linalg.qr(a_t)
+    q_t, r_t = channel.tx_qr()
     p = a_r.shape[1]
     if p < ns:
         warnings.warn("channel rank below stream count; zero singular values kept",
@@ -194,31 +198,68 @@ def _frobenius_sq(a: np.ndarray) -> float:
     return float(np.vdot(flat, flat).real)
 
 
+@dataclass(frozen=True)
+class CommTarget:
+    """Comm target F_c[m] = basis @ coeffs[m], in an orthonormal basis of its span.
+
+    For the SVD precoders the basis is the channel's transmit basis Q_t, so
+    r = P paths, and VEC works in r dimensions instead of nt. ``coeffs`` is
+    (M, r, ns), stored subcarrier-minor so all M read as one r x (M ns)
+    matrix. Factored once, one target serves every design on its channel.
+    """
+
+    basis: np.ndarray   # (nt, r)
+    coeffs: np.ndarray  # (M, r, ns)
+    energy: float       # sum_m ||F_c[m]||_F^2
+
+    @classmethod
+    def factor(cls, comm_opt: np.ndarray, basis: np.ndarray = None) -> "CommTarget":
+        """Factor a dense (M, nt, ns) target in ``basis``, or in its own thin QR when None.
+
+        Raises ValueError when the basis is not orthonormal or does not span
+        the target, seen as coefficients that do not keep the target's energy.
+        """
+        m_count, nt, ns = comm_opt.shape
+        flat = _subcarrier_minor(comm_opt).transpose(1, 0, 2).reshape(nt, m_count * ns)
+        if basis is None:
+            basis, coeffs = np.linalg.qr(flat)
+        else:
+            coeffs = basis.conj().T @ flat
+        energy = _frobenius_sq(flat)
+        if abs(_frobenius_sq(coeffs) - energy) > 1e-9 * energy:
+            raise ValueError("basis is not an orthonormal basis spanning the comm target")
+        return cls(basis, coeffs.reshape(-1, m_count, ns).transpose(1, 0, 2), energy)
+
+
 @dataclass
 class PrecodingTargets:
     """Weighted design targets: comm SVD precoders, scan column, and weight eta.
 
-    ``comm_opt`` is kept subcarrier-minor (optimal_fully_digital already returns
-    it so), so each VEC step reads all M targets as one nt x (M ns) matrix.
+    ``comm_opt`` is a CommTarget, or a dense (M, nt, ns) stack that is
+    factored here in ``basis`` (its own thin QR when None).
     """
 
-    comm_opt: np.ndarray      # (M, nt, ns)
+    comm_opt: InitVar[np.ndarray]
     sense_opt: np.ndarray     # (nt, ns)
     eta: float
+    basis: InitVar[np.ndarray] = None
+    comm: CommTarget = field(init=False, repr=False)
     # sum_m ||F_c[m]||_F^2 and ||F_s||_F^2, the constant terms of the objective
     energies: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, comm_opt, basis):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
-        self.comm_opt = _subcarrier_minor(self.comm_opt)
-        self.energies = (_frobenius_sq(self.comm_opt), _frobenius_sq(self.sense_opt))
+        self.comm = (comm_opt if isinstance(comm_opt, CommTarget)
+                     else CommTarget.factor(comm_opt, basis))
+        self.energies = (self.comm.energy, _frobenius_sq(self.sense_opt))
 
 
 def _rf_projections(targets: PrecodingTargets, f_rf: np.ndarray):
-    """F_RF^H F_c[m] stacked (M, n_rf, ns) and F_RF^H F_s (n_rf, ns)."""
+    """F_RF^H F_c[m] = (F_RF^H Q) V[m] stacked (M, n_rf, ns), and F_RF^H F_s (n_rf, ns)."""
     f_rf_h = f_rf.conj().T
-    return _apply_left(f_rf_h, targets.comm_opt), f_rf_h @ targets.sense_opt
+    comm = targets.comm
+    return _apply_left(f_rf_h @ comm.basis, comm.coeffs), f_rf_h @ targets.sense_opt
 
 
 def weighted_objective(targets: PrecodingTargets, f_rf: np.ndarray,
@@ -263,13 +304,13 @@ def vec_analog_update(targets: PrecodingTargets, f_bb: np.ndarray,
     sum_m [eta F_c[m] + (1-eta) F_s] F_BB[m]^H; zero-magnitude entries keep
     their previous phase. Exact minimizer when F_BB[m] is square-unitary.
     """
-    eta = targets.eta
-    m_count, nt, ns = targets.comm_opt.shape
-    # sum_m F_c[m] F_BB[m]^H = [F_c[0] ... F_c[M-1]] [F_BB[0]^H; ...; F_BB[M-1]^H],
-    # the first factor a view of the subcarrier-minor targets
+    eta, comm = targets.eta, targets.comm
+    m_count, r, ns = comm.coeffs.shape
+    # sum_m F_c[m] F_BB[m]^H = Q [V[0] ... V[M-1]] [F_BB[0]^H; ...; F_BB[M-1]^H],
+    # the middle factor a view of the subcarrier-minor coefficients
     f_bb_h = f_bb.conj().swapaxes(1, 2)
-    t_c = (targets.comm_opt.transpose(1, 0, 2).reshape(nt, m_count * ns)
-           @ f_bb_h.reshape(m_count * ns, -1))
+    t_c = comm.basis @ (comm.coeffs.transpose(1, 0, 2).reshape(r, m_count * ns)
+                        @ f_bb_h.reshape(m_count * ns, -1))
     t_s = targets.sense_opt @ f_bb_h.sum(axis=0)
     t = eta * t_c + (1.0 - eta) * t_s
     mask = switch.expand()
@@ -289,17 +330,18 @@ def _random_phase_analog(switch: SwitchMatrix, rng: np.random.Generator) -> np.n
     return np.where(mask, phases, 0.0)
 
 
-def _normalized_least_squares(f_rf: np.ndarray, comm_opt: np.ndarray, w_c: float,
-                              sense_opt: np.ndarray, w_s: float) -> np.ndarray:
+def _normalized_least_squares(f_rf: np.ndarray, targets: PrecodingTargets, w_c: float,
+                              w_s: float) -> np.ndarray:
     """Digital precoders F_BB[m] = sqrt(ns) F_RF^+ W[m] / ||F_RF F_RF^+ W[m]||_F.
 
     The weighted target W[m] = w_c F_c[m] + w_s F_s is never formed: F_RF^+ is
-    applied to F_c and F_s separately, batched over subcarriers, and each norm
-    is taken through the n_rf x n_rf Gram matrix. The result, (M, n_rf, ns),
-    meets ||F_RF F_BB[m]||_F^2 = ns exactly.
+    applied to F_c = Q V as (F_RF^+ Q) V, batched over subcarriers, and to F_s
+    separately, and each norm is taken through the n_rf x n_rf Gram matrix.
+    The result, (M, n_rf, ns), meets ||F_RF F_BB[m]||_F^2 = ns exactly.
     """
     pinv = np.linalg.pinv(f_rf)
-    f_ls = w_c * _apply_left(pinv, comm_opt) + w_s * (pinv @ sense_opt)
+    comm = targets.comm
+    f_ls = w_c * _apply_left(pinv @ comm.basis, comm.coeffs) + w_s * (pinv @ targets.sense_opt)
     norm_sq = np.sum((f_ls.conj() * ((f_rf.conj().T @ f_rf) @ f_ls)).real, axis=(1, 2))
     if np.any(norm_sq <= 0):
         raise ValueError("analog precoder annihilates the design target")
@@ -312,8 +354,7 @@ def finalize_digital(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
     The VEC target is W[m] = eta F_c[m] + (1-eta) F_s, the weighting of the
     alternating objective.
     """
-    eta = targets.eta
-    return _normalized_least_squares(f_rf, targets.comm_opt, eta, targets.sense_opt, 1.0 - eta)
+    return _normalized_least_squares(f_rf, targets, targets.eta, 1.0 - targets.eta)
 
 
 def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
@@ -354,7 +395,7 @@ def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
 # SCA one-shot update
 # ---------------------------------------------------------------------------
 
-def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int,
+def sca_hybrid_precoding(comm_opt, codebook: SensingCodebook, q: int,
                          eta: float, comm_analog: np.ndarray,
                          switch: SwitchMatrix) -> PrecoderSet:
     """Codebook-assisted update of a communication-only analog precoder.
@@ -362,11 +403,13 @@ def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int
     Replaces the ceil(N_c*(1-eta)) closed blocks whose phase profiles are
     closest to the slot-q scan column with the column's (unit-modulus) phases,
     then solves the digital precoders in closed form against the weighted
-    target. No per-slot alternating iterations.
+    target. No per-slot alternating iterations. ``comm_opt`` is a CommTarget
+    or a dense stack, as in PrecodingTargets.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must be in [0, 1], got {eta}")
-    ns = comm_opt.shape[2]
+    if not isinstance(comm_opt, CommTarget):
+        comm_opt = CommTarget.factor(comm_opt)
+    sense_opt = optimal_sensing_precoder(codebook, q, comm_opt.coeffs.shape[2])
+    targets = PrecodingTargets(comm_opt, sense_opt, eta)
     k_t = switch.k_t
     scan_col = codebook.columns[:, q - 1]
     # unit-modulus phase profile of the scan column
@@ -390,9 +433,7 @@ def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int
         f_rf[i * k_t:(i + 1) * k_t, j] = scan_phases[i * k_t:(i + 1) * k_t]
 
     # SCA weights the amplitudes by sqrt(eta), sqrt(1-eta)
-    sense_opt = optimal_sensing_precoder(codebook, q, ns)
-    digital = _normalized_least_squares(f_rf, comm_opt, np.sqrt(eta),
-                                        sense_opt, np.sqrt(1.0 - eta))
+    digital = _normalized_least_squares(f_rf, targets, np.sqrt(eta), np.sqrt(1.0 - eta))
     return PrecoderSet(analog=f_rf, digital=digital, switch=switch, converged=True)
 
 
@@ -400,22 +441,36 @@ def sca_hybrid_precoding(comm_opt: np.ndarray, codebook: SensingCodebook, q: int
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def spectral_efficiency(channel: CommChannel, tx: np.ndarray, rx: np.ndarray,
-                        rho: float, sigma2: float) -> float:
-    """Subcarrier-averaged log-det rate in bits/s/Hz.
+@dataclass(frozen=True)
+class CombinedReceiver:
+    """The combiner side of the log-det rate, for one (channel, combiner, sigma^2).
 
-    tx and rx hold the effective per-subcarrier precoders (M, nt, ns) and
-    combiners (M, nr, ns); tx is read as one nt x (M ns) matrix, a view when
-    it is subcarrier-minor as tx_matrices and optimal_fully_digital return it.
-    The effective channels C^H H[m] F[m] come batched from the channel factors
-    as (C^H A_r) diag(G[:, m]) (A_t^H F[m]). A noise
-    covariance sigma^2 C^H C that is singular gets a trace-scaled ridge, with
-    one warning per such subcarrier.
+    ``paths`` is (C[m]^H A_r) diag(G[:, m]), (M, ns, P), and ``noise_inv`` the
+    inverse of sigma^2 C[m]^H C[m], (M, ns, ns). Neither depends on the
+    precoders, so one receiver rates every design on its channel.
     """
-    m_count, _, ns = tx.shape
-    a_r, a_t, gains = channel.factors()
+
+    paths: np.ndarray
+    noise_inv: np.ndarray
+
+    def rate(self, tx_paths: np.ndarray, rho: float) -> float:
+        """Subcarrier-averaged log-det rate in bits/s/Hz, given A_t^H F[m] as (M, P, ns)."""
+        m_count, _, ns = tx_paths.shape
+        eff = self.paths @ tx_paths
+        mat = np.eye(ns) + (rho / ns) * self.noise_inv @ eff @ eff.conj().swapaxes(1, 2)
+        _, logdet = np.linalg.slogdet(mat)
+        return float(np.sum(logdet / np.log(2.0))) / m_count
+
+
+def combined_receiver(channel: CommChannel, rx: np.ndarray, sigma2: float) -> CombinedReceiver:
+    """The rate's combiner side for combiners rx, (M, nr, ns), from the channel factors.
+
+    A noise covariance sigma^2 C^H C that is singular gets a trace-scaled
+    ridge, with one warning per such subcarrier.
+    """
+    ns = rx.shape[2]
+    a_r, _, gains = channel.factors()
     left = (a_r.conj().T @ rx).conj().swapaxes(1, 2)
-    eff = (left * gains.T[:, None, :]) @ _apply_left(a_t.conj().T, tx)
     # per-subcarrier Gram matrices: a batched product would conjugate a copy of rx
     r_n = sigma2 * np.stack([c.conj().T @ c for c in rx])
     singular = np.linalg.slogdet(r_n)[0] == 0
@@ -423,10 +478,22 @@ def spectral_efficiency(channel: CommChannel, tx: np.ndarray, rx: np.ndarray,
         warnings.warn("singular combined-noise covariance; ridge added",
                       ModelMismatchWarning)
         r_n[m] += 1e-12 * np.trace(r_n[m]).real / ns * np.eye(ns)
-    r_inv = np.linalg.inv(r_n)
-    mat = np.eye(ns) + (rho / ns) * r_inv @ eff @ eff.conj().swapaxes(1, 2)
-    _, logdet = np.linalg.slogdet(mat)
-    return float(np.sum(logdet / np.log(2.0))) / m_count
+    return CombinedReceiver(paths=left * gains.T[:, None, :], noise_inv=np.linalg.inv(r_n))
+
+
+def spectral_efficiency(channel: CommChannel, tx: np.ndarray, rx: np.ndarray,
+                        rho: float, sigma2: float) -> float:
+    """Subcarrier-averaged log-det rate in bits/s/Hz.
+
+    tx and rx hold the effective per-subcarrier precoders (M, nt, ns) and
+    combiners (M, nr, ns). The effective channels C^H H[m] F[m] come batched
+    from the channel factors as (C^H A_r) diag(G[:, m]) (A_t^H F[m]): the
+    combiner side from combined_receiver, which a caller rating many
+    precoders on one channel builds once, and the transmit side as one
+    product with tx read as nt x (M ns), a view when tx is subcarrier-minor.
+    """
+    a_t = channel.factors()[1]
+    return combined_receiver(channel, rx, sigma2).rate(_apply_left(a_t.conj().T, tx), rho)
 
 
 def transmit_beampattern(f_rf: np.ndarray, f_bb: np.ndarray, angles: np.ndarray,

@@ -7,8 +7,8 @@ import pytest
 
 from thzisac.channel import ModelMismatchWarning, sample_comm_channel
 from thzisac.geometry import UpaGeometry, dft_codebook
-from thzisac.precoding import (PrecodingTargets, SwitchMatrix,
-                               default_switch_pattern, finalize_digital,
+from thzisac.precoding import (CommTarget, PrecodingTargets, SwitchMatrix,
+                               combined_receiver, default_switch_pattern, finalize_digital,
                                optimal_fully_digital, optimal_sensing_precoder,
                                sca_hybrid_precoding, spectral_efficiency,
                                transmit_beampattern, vec_analog_update,
@@ -150,11 +150,12 @@ def test_digital_update_optimality(rng):
     # Procrustes step beats random semi-unitary candidates
     nt, n_rf, ns, m_count = 12, 4, 4, 2
     f_rf = np.exp(2j * np.pi * rng.random((nt, n_rf)))
-    targets = _random_targets(rng, nt, ns, m_count, 0.7)
+    comm = np.stack([random_semi_unitary(nt, ns, rng) for _ in range(m_count)])
+    targets = PrecodingTargets(comm, np.tile(random_semi_unitary(nt, 1, rng), (1, ns)), 0.7)
     f_bb = vec_digital_update(targets, f_rf)
     eta = targets.eta
     for m in range(m_count):
-        ghb = (eta * targets.comm_opt[m].conj().T @ f_rf
+        ghb = (eta * comm[m].conj().T @ f_rf
                + (1 - eta) * targets.sense_opt.conj().T @ f_rf)
         best = np.real(np.trace(f_bb[m].conj().T @ ghb.conj().T))
         for _ in range(200):
@@ -421,7 +422,7 @@ def _oracle_case(rng, eta, structure, n_rf=4, k_t=3, ns=3, m_count=5):
     targets = PrecodingTargets(comm, random_semi_unitary(sw.n_t, ns, rng), eta)
     mask = sw.expand()
     f_rf = np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)
-    return targets, sw, f_rf
+    return targets, sw, f_rf, comm
 
 
 def _random_digital(rng, m_count, n_rf, ns):
@@ -431,17 +432,17 @@ def _random_digital(rng, m_count, n_rf, ns):
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("eta", ETAS)
 def test_weighted_objective_matches_dense(eta, structure, rng):
-    targets, sw, f_rf = _oracle_case(rng, eta, structure)
+    targets, sw, f_rf, comm = _oracle_case(rng, eta, structure)
     f_bb = _random_digital(rng, 5, sw.n_rf, 3)
-    want = weighted_objective_dense(targets.comm_opt, targets.sense_opt, eta, f_rf, f_bb)
+    want = weighted_objective_dense(comm, targets.sense_opt, eta, f_rf, f_bb)
     assert np.isclose(weighted_objective(targets, f_rf, f_bb), want, rtol=ORACLE_RTOL, atol=0)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("eta", ETAS)
 def test_digital_update_matches_procrustes(eta, structure, rng):
-    targets, sw, f_rf = _oracle_case(rng, eta, structure)
-    want = procrustes_dense(targets.comm_opt, targets.sense_opt, eta, f_rf)
+    targets, sw, f_rf, comm = _oracle_case(rng, eta, structure)
+    want = procrustes_dense(comm, targets.sense_opt, eta, f_rf)
     _assert_rel(vec_digital_update(targets, f_rf), want)
 
 
@@ -449,9 +450,9 @@ def test_digital_update_matches_procrustes(eta, structure, rng):
 def test_digital_update_rank_one_sense_attains_nuclear_norm(structure, rng):
     # at eta = 0 the shipped rank-one scan target leaves the minimizer's null
     # part free; the attained Re tr(F_BB^H F_RF^H F_s) is still the nuclear norm
-    targets, sw, f_rf = _oracle_case(rng, 0.0, structure)
+    targets, sw, f_rf, comm = _oracle_case(rng, 0.0, structure)
     sense = np.tile(random_semi_unitary(sw.n_t, 1, rng), (1, 3))
-    targets = PrecodingTargets(targets.comm_opt, sense, 0.0)
+    targets = PrecodingTargets(comm, sense, 0.0)
     corr = f_rf.conj().T @ sense
     best = np.linalg.svd(corr, compute_uv=False).sum()
     for f_bb in vec_digital_update(targets, f_rf):
@@ -462,9 +463,9 @@ def test_digital_update_rank_one_sense_attains_nuclear_norm(structure, rng):
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("eta", ETAS)
 def test_analog_update_matches_dense(eta, structure, rng):
-    targets, sw, f_rf = _oracle_case(rng, eta, structure)
+    targets, sw, f_rf, comm = _oracle_case(rng, eta, structure)
     f_bb = _random_digital(rng, 5, sw.n_rf, 3)
-    want = phase_update_dense(targets.comm_opt, targets.sense_opt, eta, f_bb,
+    want = phase_update_dense(comm, targets.sense_opt, eta, f_bb,
                               sw.expand(), f_rf)
     _assert_rel(vec_analog_update(targets, f_bb, sw, prev=f_rf), want)
 
@@ -472,8 +473,8 @@ def test_analog_update_matches_dense(eta, structure, rng):
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("eta", ETAS)
 def test_least_squares_steps_match_dense(eta, structure, rng):
-    targets, sw, f_rf = _oracle_case(rng, eta, structure)
-    comm, sense = targets.comm_opt, targets.sense_opt
+    targets, sw, f_rf, comm = _oracle_case(rng, eta, structure)
+    sense = targets.sense_opt
     # VEC weights the targets by (eta, 1-eta)
     _assert_rel(finalize_digital(targets, f_rf),
                 normalized_lstsq_dense(f_rf, [eta * c + (1 - eta) * sense for c in comm]))
@@ -484,6 +485,121 @@ def test_least_squares_steps_match_dense(eta, structure, rng):
     want = normalized_lstsq_dense(
         pre.analog, [np.sqrt(eta) * c + np.sqrt(1 - eta) * scan for c in comm])
     _assert_rel(pre.digital, want)
+
+
+BASES = ("channel-p6", "channel-p2", "qr")
+
+
+def _basis_case(rng, kind, eta, n_rf=4, k_t=3, ns=3, m_count=5):
+    """Targets in a channel's rank-P transmit basis Q_t, or dense ones in their own QR.
+
+    "channel-pP" draws a channel with P paths on a 4x3 array and comm targets
+    Q_t V[m] with random V[m]; P = 2 < ns leaves each F_c[m] rank-deficient.
+    The switch is FC and the sensing target full rank, so the Procrustes
+    minimizer is unique at eta < 1.
+    """
+    sw = default_switch_pattern(n_rf, n_rf * n_rf, k_t)
+    if kind == "qr":
+        basis = None
+        comm = np.stack([random_semi_unitary(sw.n_t, ns, rng) for _ in range(m_count)])
+    else:
+        p = int(kind.rpartition("-p")[2])
+        geom = UpaGeometry(4, 3)
+        chan = sample_comm_channel(geom, geom, FrameConfig(m_count, 4, 8, 1.92e6, 0.3e12),
+                                   rng, num_nlos=p - 1)
+        basis = chan.tx_qr()[0]
+        comm = basis @ _random_digital(rng, m_count, p, ns)
+    targets = PrecodingTargets(comm, random_semi_unitary(sw.n_t, ns, rng), eta, basis)
+    mask = sw.expand()
+    f_rf = np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)
+    return targets, sw, f_rf, comm
+
+
+@pytest.mark.parametrize("eta", (0.3, 0.8))
+@pytest.mark.parametrize("kind", BASES)
+def test_factored_kernels_match_dense(kind, eta, rng):
+    targets, sw, f_rf, comm = _basis_case(rng, kind, eta)
+    sense = targets.sense_opt
+    rank = sw.n_t if kind == "qr" else int(kind.rpartition("-p")[2])
+    assert targets.comm.basis.shape == (sw.n_t, rank)
+    assert targets.comm.coeffs.shape == (5, rank, 3)
+    f_bb = _random_digital(rng, 5, sw.n_rf, 3)
+    assert np.isclose(weighted_objective(targets, f_rf, f_bb),
+                      weighted_objective_dense(comm, sense, eta, f_rf, f_bb),
+                      rtol=ORACLE_RTOL, atol=0)
+    _assert_rel(vec_digital_update(targets, f_rf), procrustes_dense(comm, sense, eta, f_rf))
+    _assert_rel(vec_analog_update(targets, f_bb, sw, prev=f_rf),
+                phase_update_dense(comm, sense, eta, f_bb, sw.expand(), f_rf))
+    _assert_rel(finalize_digital(targets, f_rf),
+                normalized_lstsq_dense(f_rf, [eta * c + (1 - eta) * sense for c in comm]))
+    # SCA's least squares is the same factored step, here on a shared CommTarget
+    cb = dft_codebook(UpaGeometry(4, 3))
+    pre = sca_hybrid_precoding(targets.comm, cb, 2, eta, f_rf, sw)
+    scan = optimal_sensing_precoder(cb, 2, 3)
+    _assert_rel(pre.digital, normalized_lstsq_dense(
+        pre.analog, [np.sqrt(eta) * c + np.sqrt(1 - eta) * scan for c in comm]))
+
+
+def test_targets_reject_a_basis_that_does_not_span(rng):
+    geom = UpaGeometry(4, 3)
+    frame = FrameConfig(5, 4, 8, 1.92e6, 0.3e12)
+    chan = sample_comm_channel(geom, geom, frame, rng, num_nlos=1)  # P = 2
+    basis = chan.tx_qr()[0]
+    sense = random_semi_unitary(12, 3, rng)
+    inside = basis @ _random_digital(rng, 5, 2, 3)
+    PrecodingTargets(inside, sense, 0.5, basis)
+    outside = random_semi_unitary(12, 1, rng)
+    outside -= basis @ (basis.conj().T @ outside)
+    # a part outside the span with 1e-6 of the energy, far above round-off
+    leak = inside.copy()
+    leak[2, :, 1] += 1e-3 * np.linalg.norm(inside) * outside[:, 0] / np.linalg.norm(outside)
+    for comm, b in ((leak, basis), (inside, 2.0 * basis), (inside, basis[:, :1])):
+        with pytest.raises(ValueError, match="spanning the comm target"):
+            PrecodingTargets(comm, sense, 0.5, b)
+        with pytest.raises(ValueError, match="spanning the comm target"):
+            CommTarget.factor(comm, b)
+    # the SVD pads rank-deficient precoders outside the channel's span
+    with pytest.warns(ModelMismatchWarning, match="channel rank below stream count"):
+        f, _, _ = optimal_fully_digital(chan, 3)
+    with pytest.raises(ValueError, match="spanning the comm target"):
+        PrecodingTargets(f, sense, 0.5, basis)
+    assert PrecodingTargets(f, sense, 0.5).comm.basis.shape == (12, 12)
+    f, _, _ = optimal_fully_digital(chan, 2)
+    assert PrecodingTargets(f, sense[:, :2], 0.5, basis).comm.coeffs.shape == (5, 2, 2)
+
+
+def test_combined_receiver_rates_every_design_like_dense(small_setup, rng):
+    # one receiver per (channel, combiner, sigma^2) rates digital, hybrid and
+    # random precoders; a singular combiner warns once per subcarrier, at build time
+    geom, frame, chan = small_setup
+    f, c, _ = optimal_fully_digital(chan, 3)
+    sw = default_switch_pattern(4, 16, 8)
+    pre = vec_hybrid_precoding(PrecodingTargets(f, optimal_sensing_precoder(
+        dft_codebook(geom), 2, 3), 0.5, chan.tx_qr()[0]), sw, rng=rng)
+    tx_sets = [f, pre.tx_matrices(), _random_digital(rng, 8, 32, 3)]
+    a_t_h = chan.factors()[1].conj().T
+    singular = c.copy()
+    singular[1, :, 2] = 0
+    singular[6, :, 0] = 0
+    mask = sw.expand()
+    hybrid = np.stack([np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)[:, :3]
+                       for _ in range(8)])
+    for comb, n_singular in ((c, 0), (hybrid, 0), (singular, 2)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            receiver = combined_receiver(chan, comb, 1.3)
+            built = len(caught)
+            rates = [receiver.rate(a_t_h @ tx, rho) for tx in tx_sets for rho in (0.3, 40.0)]
+            hybrid_rate = receiver.rate(pre.beam_response(a_t_h), 2.0)
+        assert built == len(caught) == n_singular
+        assert all(issubclass(w.category, ModelMismatchWarning)
+                   and "singular combined-noise covariance" in str(w.message) for w in caught)
+        want = [spectral_efficiency_dense(chan, tx, comb, rho, 1.3)
+                for tx in tx_sets for rho in (0.3, 40.0)]
+        np.testing.assert_allclose(rates, want, rtol=ORACLE_RTOL, atol=0)
+        # the hybrid design's transmit side without its (M, nt, ns) product
+        assert np.isclose(hybrid_rate, spectral_efficiency_dense(chan, tx_sets[1], comb, 2.0, 1.3),
+                          rtol=ORACLE_RTOL)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
@@ -539,7 +655,7 @@ def test_precoding_transient_memory_bound():
     frame = FrameConfig(64, 16, 32, 1.92e6, 0.3e12)
     chan = sample_comm_channel(geom, geom, frame, np.random.default_rng(5))
     chan.factors()  # cached on the channel, not part of either design
-    comm_opt, _, _ = optimal_fully_digital(chan, 4)
+    comm_opt, comb_opt, _ = optimal_fully_digital(chan, 4)
     mib = 2.0 ** 20
     assert _traced_peak(optimal_fully_digital, chan, 4) <= 10 * mib
     targets = PrecodingTargets(comm_opt, optimal_sensing_precoder(dft_codebook(geom), 5, 4), 0.5)
@@ -548,4 +664,10 @@ def test_precoding_transient_memory_bound():
         warnings.simplefilter("ignore", ModelMismatchWarning)  # max_iter is not under test
         peak = _traced_peak(vec_hybrid_precoding, targets, sw, max_iter=3,
                             rng=np.random.default_rng(1))
+        pre = vec_hybrid_precoding(targets, sw, max_iter=3, rng=np.random.default_rng(1))
     assert peak <= 2 * mib
+    # rating a hybrid design reads A_t^H F_RF F_BB[m], (M, P, ns), not its
+    # 4 MiB (M, nt, ns) tx_matrices() stack
+    receiver = combined_receiver(chan, comb_opt, 1.0)
+    a_t_h = chan.factors()[1].conj().T
+    assert _traced_peak(lambda: receiver.rate(pre.beam_response(a_t_h), 0.01)) <= 0.5 * mib
