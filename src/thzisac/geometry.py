@@ -89,11 +89,8 @@ def steering_upa(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
 
     Entry (l*W + w) is exp(j*pi*(w*sin(theta)*sin(phi) + l*cos(phi))) / sqrt(W*L).
     """
-    w = np.arange(geom.w_count)
-    l = np.arange(geom.l_count)
-    a_y = np.exp(1j * np.pi * w * (np.sin(theta) * np.sin(phi))) / np.sqrt(geom.w_count)
-    a_z = np.exp(1j * np.pi * l * np.cos(phi)) / np.sqrt(geom.l_count)
-    return np.kron(a_z, a_y)
+    a_z, a_y = steering_factors([theta], phi, geom)
+    return np.kron(a_z, a_y[:, 0])
 
 
 def steering_many(thetas: np.ndarray, phi: float, geom: UpaGeometry) -> np.ndarray:
