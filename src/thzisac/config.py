@@ -284,8 +284,16 @@ def _validate(cfg: ExperimentConfig):
     for name, azimuth in azimuths:
         if not -90.0 <= azimuth <= 90.0:  # the azimuth convention of geometry.py
             problems.append(f"{name} {azimuth} outside [-90, 90]")
-    if not cfg.scene.noise_power >= 0:
-        problems.append(f"scene.noise_power must be >= 0, got {cfg.scene.noise_power}")
+    for name, spec in (("scene", cfg.scene), ("isi_demo", cfg.isi_demo),
+                       ("ici_demo", cfg.ici_demo)):
+        problems.extend(f"{name}.targets[{i}].range_m must be > 0, got {t.range_m}"
+                        for i, t in enumerate(spec.targets) if not t.range_m > 0)
+    for name, value in (("scene.noise_power", cfg.scene.noise_power),
+                        ("comm.path_spread_deg", cfg.comm.path_spread_deg),
+                        ("isi_demo.max_speed_mps", cfg.isi_demo.max_speed_mps),
+                        ("ici_demo.max_speed_mps", cfg.ici_demo.max_speed_mps)):
+        if not value >= 0:
+            problems.append(f"{name} must be >= 0, got {value}")
     slots = [q for q in cfg.beam_scan.slots if not 1 <= q <= arr.w_tx]
     if slots:
         problems.append(f"beam_scan: slots {slots} outside 1..{arr.w_tx}")
@@ -316,14 +324,15 @@ def _validate(cfg: ExperimentConfig):
 
 
 def _range_problems(cfg: ExperimentConfig) -> list:
-    """ISI/ICI demo search ranges that reach past the shortest slot of their frames."""
+    """ISI/ICI demo frames that cannot be built, or search ranges past their shortest slot."""
     problems = []
-    for name, spec, df_khz in (
-            ("isi_demo", cfg.isi_demo, max(cfg.isi_demo.delta_f_khz_control,
-                                           cfg.isi_demo.delta_f_khz_isi)),
-            ("ici_demo", cfg.ici_demo, cfg.ici_demo.delta_f_khz)):
+    for name, spec, spacings in (
+            ("isi_demo", cfg.isi_demo, (cfg.isi_demo.delta_f_khz_control,
+                                        cfg.isi_demo.delta_f_khz_isi)),
+            ("ici_demo", cfg.ici_demo, (cfg.ici_demo.delta_f_khz,))):
         try:
-            t_slot = cfg.frame.to_frame(spec.m_subcarriers, df_khz).t_slot
+            t_slot = min(cfg.frame.to_frame(spec.m_subcarriers, df).t_slot for df in spacings)
+            df_khz = max(spacings)
             if delay_of_range(spec.max_range_m) > t_slot:
                 problems.append(f"{name}: max_range_m {spec.max_range_m} beyond the "
                                 f"{range_of_delay(t_slot):.4g} m one slot reaches "

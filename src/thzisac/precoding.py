@@ -334,18 +334,23 @@ def _normalized_least_squares(f_rf: np.ndarray, targets: PrecodingTargets, w_c: 
                               w_s: float) -> np.ndarray:
     """Digital precoders F_BB[m] = sqrt(ns) F_RF^+ W[m] / ||F_RF F_RF^+ W[m]||_F.
 
-    The weighted target W[m] = w_c F_c[m] + w_s F_s is never formed: F_RF^+ is
-    applied to F_c = Q V as (F_RF^+ Q) V, batched over subcarriers, and to F_s
-    separately, and each norm is taken through the n_rf x n_rf Gram matrix.
-    The result, (M, n_rf, ns), meets ||F_RF F_BB[m]||_F^2 = ns exactly.
+    With F_RF = U S V^H (np.linalg.pinv's singular-value cutoff), F_RF^+ W[m]
+    = V S^-1 U^H W[m] and F_RF F_RF^+ W[m] = U U^H W[m], so each norm is
+    ||U^H W[m]||_F: it cannot cancel to zero or below when F_RF is
+    ill-conditioned, as a norm through the Gram matrix F_RF^H F_RF can. The
+    weighted target W[m] = w_c F_c[m] + w_s F_s is never formed: U^H applies to
+    F_c = Q V as (U^H Q) V, batched over subcarriers, and to F_s separately.
+    The result, (M, n_rf, ns), meets ||F_RF F_BB[m]||_F^2 = ns.
     """
-    pinv = np.linalg.pinv(f_rf)
-    comm = targets.comm
-    f_ls = w_c * _apply_left(pinv @ comm.basis, comm.coeffs) + w_s * (pinv @ targets.sense_opt)
-    norm_sq = np.sum((f_ls.conj() * ((f_rf.conj().T @ f_rf) @ f_ls)).real, axis=(1, 2))
+    u, s, vh = np.linalg.svd(f_rf, full_matrices=False)
+    keep = s > max(f_rf.shape) * np.finfo(float).eps * s[0]
+    u_h, comm = u[:, keep].conj().T, targets.comm
+    proj = w_c * _apply_left(u_h @ comm.basis, comm.coeffs) + w_s * (u_h @ targets.sense_opt)
+    norm_sq = np.sum(np.abs(proj) ** 2, axis=(1, 2))
     if np.any(norm_sq <= 0):
         raise ValueError("analog precoder annihilates the design target")
-    return np.sqrt(f_ls.shape[2] / norm_sq)[:, None, None] * f_ls
+    f_ls = _apply_left(vh[keep].conj().T / s[keep], proj)
+    return np.sqrt(proj.shape[2] / norm_sq)[:, None, None] * f_ls
 
 
 def finalize_digital(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:

@@ -87,7 +87,15 @@ def test_validation_errors():
             ({"tradeoff": {"sensing_azimuth_deg": -95}},
              r"tradeoff.sensing_azimuth_deg -95 outside \[-90, 90\]"),
             ({"se_sweep": {"sensing_azimuth_deg": 90.5}},
-             r"se_sweep.sensing_azimuth_deg 90.5 outside \[-90, 90\]")):
+             r"se_sweep.sensing_azimuth_deg 90.5 outside \[-90, 90\]"),
+            ({"comm": {"path_spread_deg": -1}}, "comm.path_spread_deg must be >= 0, got -1"),
+            ({"ici_demo": {"max_speed_mps": -1}}, "ici_demo.max_speed_mps must be >= 0, got -1"),
+            ({"isi_demo": {"targets": [{"range_m": 0}]}},
+             r"isi_demo.targets\[0\].range_m must be > 0, got 0"),
+            ({"scene": {"targets": [{}, {"range_m": -1}]}},
+             r"scene.targets\[1\].range_m must be > 0, got -1"),
+            ({"isi_demo": {"delta_f_khz_control": 0}},
+             "isi_demo: delta_f and fc must be positive")):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
     # every numeric field and list entry is checked against its declared type
@@ -217,6 +225,15 @@ def test_mc_rmse_output(tmp_path):
     assert pt["n_detected"] >= 1
     lines = (tmp_path / "mc_rmse.csv").read_text().splitlines()
     assert lines[1].startswith("snr_db,angle_rmse_deg")
+
+
+def test_beam_scan_single_stream(tmp_path):
+    # one stream on four RF chains drives VEC's analog columns nearly parallel,
+    # and the least-squares step must still normalize
+    cfg = _tiny_config(trials=1)
+    cfg.arrays.n_streams = 1
+    summary = experiments.run_beam_scan(cfg, str(tmp_path))
+    assert np.isfinite(summary["comm_lobe_drift_db"])
 
 
 def test_isi_demo_small(tmp_path):

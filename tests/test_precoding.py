@@ -487,6 +487,19 @@ def test_least_squares_steps_match_dense(eta, structure, rng):
     _assert_rel(pre.digital, want)
 
 
+def test_least_squares_on_an_ill_conditioned_analog_precoder(rng):
+    # nearly parallel columns, as VEC reaches with ns < n_rf: a norm taken
+    # through the Gram matrix F_RF^H F_RF cancelled to zero or below here
+    targets, sw, f_rf, comm = _oracle_case(rng, 0.5, "fc")
+    f_rf[:, 1:] = f_rf[:, :1] * np.exp(1j * np.array([1e-3, 1e-6, 1e-9]) * rng.random((12, 3)))
+    assert np.linalg.cond(f_rf) > 1e8
+    f_bb = finalize_digital(targets, f_rf)
+    want = normalized_lstsq_dense(f_rf, [0.5 * c + 0.5 * targets.sense_opt for c in comm])
+    for m in range(5):
+        assert np.isclose(np.linalg.norm(f_rf @ f_bb[m]) ** 2, 3.0, rtol=1e-6)
+        _assert_rel(f_rf @ f_bb[m], f_rf @ want[m], rtol=1e-6)
+
+
 BASES = ("channel-p6", "channel-p2", "qr")
 
 
