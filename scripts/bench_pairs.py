@@ -4,13 +4,14 @@
 Usage (from the repository root):
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD --seeds 600 10 \
-        --out BENCH_10.json [--workloads precoding-tradeoff ...] [--seconds 25]
+        --out BENCH_10.json [--workloads precoding-tradeoff ...]
 
 Each commit is unpacked with `git archive` into its own directory under
 --work-dir, so neither side sees the other's files or bytecode. For every
-workload and seed, `perfbench/run.py --trace 0` runs once per side with
-PYTHONDONTWRITEBYTECODE=1; the parent goes first in even pairs and the
-change first in odd ones, so slow drift of the host loads both sides alike.
+workload and seed, `perfbench/run.py --trace 0` runs once per side for
+BENCHMARK.json's run_seconds, with PYTHONDONTWRITEBYTECODE=1. The parent goes
+first in even pairs and the change first in odd ones, so slow drift of the
+host loads both sides alike.
 The output keeps every run's env and result lines, and per workload and
 end-to-end metric: the parent's and the change's q1/median/q3, the median
 ratio and the number of pairs in which the change was better.
@@ -125,8 +126,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write")
     parser.add_argument("--workloads", nargs="+", default=None,
                         help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run; default: BENCHMARK.json's run_seconds")
     parser.add_argument("--work-dir", default=None,
                         help="where the two trees are unpacked (default: a temporary directory)")
     args = parser.parse_args(argv)
@@ -135,7 +134,7 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seeds = list(range(args.seeds[0], args.seeds[0] + args.seeds[1]))
 

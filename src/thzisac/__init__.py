@@ -13,8 +13,8 @@ from .geometry import (AngularWindow, SensingCodebook, UpaGeometry, dft_codebook
 from .isi_ici import (ExtendedTxPair, apply_channel_operator, cp_limited_range,
                       isi_ici_rx, successive_cancellation, tackled_estimate)
 from .precoding import (CombinedReceiver, CommTarget, PrecoderSet, PrecodingTargets,
-                        SwitchMatrix, combined_receiver, default_switch_pattern,
-                        optimal_fully_digital,
+                        SwitchMatrix, combined_receiver, comm_design,
+                        default_switch_pattern, optimal_fully_digital,
                         optimal_sensing_precoder, sca_hybrid_precoding,
                         spectral_efficiency, transmit_beampattern,
                         vec_hybrid_precoding)

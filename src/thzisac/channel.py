@@ -79,7 +79,6 @@ class CommChannel:
     tx_geom: UpaGeometry
     rx_geom: UpaGeometry
     _factors: tuple = field(default=None, repr=False, compare=False)
-    _tx_qr: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n_los = sum(1 for p in self.paths if p.is_los)
@@ -105,12 +104,6 @@ class CommChannel:
             gains = self.gamma * np.stack([p.gain_per_subcarrier for p in self.paths])
             object.__setattr__(self, "_factors", (a_r, a_t, gains))
         return self._factors
-
-    def tx_qr(self):
-        """Cached thin QR (Q_t, R_t) of A_t: Q_t is an orthonormal basis of its span."""
-        if self._tx_qr is None:
-            object.__setattr__(self, "_tx_qr", np.linalg.qr(self.factors()[1]))
-        return self._tx_qr
 
     def matrix(self, m: int) -> np.ndarray:
         """Materialize H_c[m] as an Nr x Nt matrix (small arrays / tests only)."""

@@ -64,18 +64,6 @@ def _comm_channel(cfg: ExperimentConfig, tx_geom, rx_geom, frame, rng):
                                   np.deg2rad(comm.path_spread_deg), comm.los_range_m)
 
 
-def _comm_design(chan, ns: int):
-    """SVD precoders and combiners of the channel, and the precoders as a CommTarget.
-
-    The target is factored once per channel in the channel's own basis Q_t,
-    rank P, unless the channel has fewer paths than streams: the SVD then
-    pads its precoders outside that span, and they take their own thin QR.
-    """
-    comm_opt, comb_opt, _ = precoding.optimal_fully_digital(chan, ns)
-    basis = chan.tx_qr()[0] if chan.n_paths >= ns else None
-    return comm_opt, comb_opt, precoding.CommTarget.factor(comm_opt, basis)
-
-
 def _design_precoders(cfg: ExperimentConfig, comm, codebook, q: int, eta: float,
                       n_closed: int, algorithm: str, rng, comm_analog=None):
     arr = cfg.arrays
@@ -110,7 +98,7 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str) -> dict:
     def one_realization(r):
         rng = child_rng(cfg.seed, "tradeoff", r)
         chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-        comm_opt, comb_opt, comm = _comm_design(chan, ns)
+        comm_opt, comb_opt, comm = precoding.comm_design(chan, ns)
         # the rate's combiner side, once per realization; each design adds A_t^H F[m]
         receiver = precoding.combined_receiver(chan, comb_opt, 1.0)
         a_t_h = chan.factors()[1].conj().T
@@ -176,7 +164,7 @@ def run_se_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     def one_realization(r):
         rng = child_rng(cfg.seed, "se-sweep", r)
         chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-        comm_opt, comb_opt, comm = _comm_design(chan, ns)
+        comm_opt, comb_opt, comm = precoding.comm_design(chan, ns)
         receiver = precoding.combined_receiver(chan, comb_opt, 1.0)
         a_t_h = chan.factors()[1].conj().T
         designs = {("digital", 0, 1.0): a_t_h @ comm_opt}
@@ -224,7 +212,7 @@ def run_beam_scan(cfg: ExperimentConfig, out_dir: str) -> dict:
     ns = cfg.arrays.n_streams
     rng = child_rng(cfg.seed, "beam-scan", 0)
     chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-    _, _, comm = _comm_design(chan, ns)
+    _, _, comm = precoding.comm_design(chan, ns)
     angles_deg = np.arange(-90.0, 90.0 + spec.angle_step_deg / 2, spec.angle_step_deg)
     angles = np.deg2rad(angles_deg)
     los_aod = chan.paths[0].aod[0]
@@ -298,7 +286,7 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
     ns = arr.n_streams
     rng0 = child_rng(cfg.seed, "mc-rmse", 0)
     chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng0)
-    _, _, comm = _comm_design(chan, ns)
+    _, _, comm = precoding.comm_design(chan, ns)
 
     # group targets by the slot whose scan illuminates them
     slot_map = {}

@@ -130,7 +130,7 @@ def optimal_fully_digital(channel, ns: int):
     subcarrier-minor, as PrecodingTargets keeps it, and built by one product.
     """
     if isinstance(channel, CommChannel):
-        return _svd_factored(channel, ns)
+        return _svd_factored(channel, ns)[:3]
     mats = list(channel)
     f_list, c_list, s_list = [], [], []
     for h in mats:
@@ -144,10 +144,26 @@ def optimal_fully_digital(channel, ns: int):
     return np.stack(f_list), np.stack(c_list), np.stack(s_list)
 
 
+def comm_design(channel: CommChannel, ns: int):
+    """SVD precoders and combiners of the channel, and the precoders as a CommTarget.
+
+    The target is the SVD's own factoring F[m] = Q_t V[m], rank P, in the QR
+    basis Q_t of the channel's transmit steering matrix. With fewer paths than
+    streams the precoders are padded outside that span, and the target takes
+    their thin QR instead. Returns (F, C, target).
+    """
+    f, c, _, target = _svd_factored(channel, ns)
+    return f, c, target if target is not None else CommTarget.factor(f)
+
+
 def _svd_factored(channel: CommChannel, ns: int):
-    a_r, _, gains = channel.factors()
+    """optimal_fully_digital on the channel factors, and F as a CommTarget in Q_t.
+
+    The target is None when F is padded outside span(Q_t).
+    """
+    a_r, a_t, gains = channel.factors()
     q_r, r_r = np.linalg.qr(a_r)
-    q_t, r_t = channel.tx_qr()
+    q_t, r_t = np.linalg.qr(a_t)
     p = a_r.shape[1]
     if p < ns:
         warnings.warn("channel rank below stream count; zero singular values kept",
@@ -168,7 +184,8 @@ def _svd_factored(channel: CommChannel, ns: int):
         for m in range(m_count):
             f[m] = _pad_orthonormal(f[m, :, :k], ns)
             c[m] = _pad_orthonormal(c[m, :, :k], ns)
-    return f, c, s_out
+        return f, c, s_out, None
+    return f, c, s_out, CommTarget(q_t, v.transpose(1, 0, 2), _frobenius_sq(v))
 
 
 def _pad_orthonormal(mat: np.ndarray, ns: int) -> np.ndarray:
@@ -236,22 +253,21 @@ class PrecodingTargets:
     """Weighted design targets: comm SVD precoders, scan column, and weight eta.
 
     ``comm_opt`` is a CommTarget, or a dense (M, nt, ns) stack that is
-    factored here in ``basis`` (its own thin QR when None).
+    factored here in its own thin QR.
     """
 
     comm_opt: InitVar[np.ndarray]
     sense_opt: np.ndarray     # (nt, ns)
     eta: float
-    basis: InitVar[np.ndarray] = None
     comm: CommTarget = field(init=False, repr=False)
     # sum_m ||F_c[m]||_F^2 and ||F_s||_F^2, the constant terms of the objective
     energies: tuple = field(init=False, repr=False)
 
-    def __post_init__(self, comm_opt, basis):
+    def __post_init__(self, comm_opt):
         if not 0.0 <= self.eta <= 1.0:
             raise ValueError(f"eta must be in [0, 1], got {self.eta}")
         self.comm = (comm_opt if isinstance(comm_opt, CommTarget)
-                     else CommTarget.factor(comm_opt, basis))
+                     else CommTarget.factor(comm_opt))
         self.energies = (self.comm.energy, _frobenius_sq(self.sense_opt))
 
 
@@ -334,8 +350,9 @@ def _normalized_least_squares(f_rf: np.ndarray, targets: PrecodingTargets, w_c: 
                               w_s: float) -> np.ndarray:
     """Digital precoders F_BB[m] = sqrt(ns) F_RF^+ W[m] / ||F_RF F_RF^+ W[m]||_F.
 
-    With F_RF = U S V^H (np.linalg.pinv's singular-value cutoff), F_RF^+ W[m]
-    = V S^-1 U^H W[m] and F_RF F_RF^+ W[m] = U U^H W[m], so each norm is
+    With F_RF = U S V^H, its singular values cut at max(shape) eps s[0] as
+    np.linalg.lstsq cuts them, F_RF^+ W[m] = V S^-1 U^H W[m] and
+    F_RF F_RF^+ W[m] = U U^H W[m], so each norm is
     ||U^H W[m]||_F: it cannot cancel to zero or below when F_RF is
     ill-conditioned, as a norm through the Gram matrix F_RF^H F_RF can. The
     weighted target W[m] = w_c F_c[m] + w_s F_s is never formed: U^H applies to

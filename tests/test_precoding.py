@@ -8,7 +8,8 @@ import pytest
 from thzisac.channel import ModelMismatchWarning, sample_comm_channel
 from thzisac.geometry import UpaGeometry, dft_codebook
 from thzisac.precoding import (CommTarget, PrecodingTargets, SwitchMatrix,
-                               combined_receiver, default_switch_pattern, finalize_digital,
+                               combined_receiver, comm_design, default_switch_pattern,
+                               finalize_digital,
                                optimal_fully_digital, optimal_sensing_precoder,
                                sca_hybrid_precoding, spectral_efficiency,
                                transmit_beampattern, vec_analog_update,
@@ -520,9 +521,10 @@ def _basis_case(rng, kind, eta, n_rf=4, k_t=3, ns=3, m_count=5):
         geom = UpaGeometry(4, 3)
         chan = sample_comm_channel(geom, geom, FrameConfig(m_count, 4, 8, 1.92e6, 0.3e12),
                                    rng, num_nlos=p - 1)
-        basis = chan.tx_qr()[0]
+        basis = np.linalg.qr(chan.factors()[1])[0]
         comm = basis @ _random_digital(rng, m_count, p, ns)
-    targets = PrecodingTargets(comm, random_semi_unitary(sw.n_t, ns, rng), eta, basis)
+    targets = PrecodingTargets(CommTarget.factor(comm, basis),
+                               random_semi_unitary(sw.n_t, ns, rng), eta)
     mask = sw.expand()
     f_rf = np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)
     return targets, sw, f_rf, comm
@@ -553,14 +555,14 @@ def test_factored_kernels_match_dense(kind, eta, rng):
         pre.analog, [np.sqrt(eta) * c + np.sqrt(1 - eta) * scan for c in comm]))
 
 
-def test_targets_reject_a_basis_that_does_not_span(rng):
+def test_comm_target_rejects_a_basis_that_does_not_span(rng):
     geom = UpaGeometry(4, 3)
     frame = FrameConfig(5, 4, 8, 1.92e6, 0.3e12)
     chan = sample_comm_channel(geom, geom, frame, rng, num_nlos=1)  # P = 2
-    basis = chan.tx_qr()[0]
-    sense = random_semi_unitary(12, 3, rng)
+    basis = np.linalg.qr(chan.factors()[1])[0]
     inside = basis @ _random_digital(rng, 5, 2, 3)
-    PrecodingTargets(inside, sense, 0.5, basis)
+    _assert_rel(np.einsum("tr,mrs->mts", basis, CommTarget.factor(inside, basis).coeffs),
+                inside)
     outside = random_semi_unitary(12, 1, rng)
     outside -= basis @ (basis.conj().T @ outside)
     # a part outside the span with 1e-6 of the energy, far above round-off
@@ -568,27 +570,44 @@ def test_targets_reject_a_basis_that_does_not_span(rng):
     leak[2, :, 1] += 1e-3 * np.linalg.norm(inside) * outside[:, 0] / np.linalg.norm(outside)
     for comm, b in ((leak, basis), (inside, 2.0 * basis), (inside, basis[:, :1])):
         with pytest.raises(ValueError, match="spanning the comm target"):
-            PrecodingTargets(comm, sense, 0.5, b)
-        with pytest.raises(ValueError, match="spanning the comm target"):
             CommTarget.factor(comm, b)
-    # the SVD pads rank-deficient precoders outside the channel's span
-    with pytest.warns(ModelMismatchWarning, match="channel rank below stream count"):
-        f, _, _ = optimal_fully_digital(chan, 3)
-    with pytest.raises(ValueError, match="spanning the comm target"):
-        PrecodingTargets(f, sense, 0.5, basis)
-    assert PrecodingTargets(f, sense, 0.5).comm.basis.shape == (12, 12)
-    f, _, _ = optimal_fully_digital(chan, 2)
-    assert PrecodingTargets(f, sense[:, :2], 0.5, basis).comm.coeffs.shape == (5, 2, 2)
+
+
+@pytest.mark.parametrize("ns", (2, 3))
+def test_comm_design_factors_the_svd_precoders(ns, rng):
+    # P = 2 paths: at ns = 2 the target is the SVD's own Q_t V; at ns = 3 the
+    # SVD pads its precoders outside span(Q_t), and the target is their thin QR
+    geom = UpaGeometry(4, 3)
+    chan = sample_comm_channel(geom, geom, FrameConfig(5, 4, 8, 1.92e6, 0.3e12), rng,
+                               num_nlos=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelMismatchWarning)  # asserted below for ns = 3
+        f, c, _ = optimal_fully_digital(chan, ns)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        f2, c2, target = comm_design(chan, ns)
+    assert len(caught) == (ns > 2)
+    np.testing.assert_array_equal(f2, f)
+    np.testing.assert_array_equal(c2, c)
+    assert target.basis.shape == (12, 2 if ns == 2 else 12)
+    basis = np.linalg.qr(chan.factors()[1])[0]
+    if ns == 2:
+        np.testing.assert_array_equal(target.basis, basis)
+    else:
+        with pytest.raises(ValueError, match="spanning the comm target"):
+            CommTarget.factor(f, basis)
+    _assert_rel(np.einsum("tr,mrs->mts", target.basis, target.coeffs), f)
+    assert np.isclose(target.energy, 5 * ns, rtol=1e-12)
 
 
 def test_combined_receiver_rates_every_design_like_dense(small_setup, rng):
     # one receiver per (channel, combiner, sigma^2) rates digital, hybrid and
     # random precoders; a singular combiner warns once per subcarrier, at build time
     geom, frame, chan = small_setup
-    f, c, _ = optimal_fully_digital(chan, 3)
+    f, c, comm = comm_design(chan, 3)
     sw = default_switch_pattern(4, 16, 8)
-    pre = vec_hybrid_precoding(PrecodingTargets(f, optimal_sensing_precoder(
-        dft_codebook(geom), 2, 3), 0.5, chan.tx_qr()[0]), sw, rng=rng)
+    pre = vec_hybrid_precoding(PrecodingTargets(comm, optimal_sensing_precoder(
+        dft_codebook(geom), 2, 3), 0.5), sw, rng=rng)
     tx_sets = [f, pre.tx_matrices(), _random_digital(rng, 8, 32, 3)]
     a_t_h = chan.factors()[1].conj().T
     singular = c.copy()
