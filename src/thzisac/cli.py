@@ -40,11 +40,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, {"seed": args.seed, "trials": args.trials})
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if args.command == "selftest":
-        return 0 if experiments.selftest(cfg) else 3
+        return 0 if experiments.selftest() else 3
     summary = _RUNNERS[args.command](cfg, args.out)
     print(f"{args.command}: wrote results under {args.out}/")
     for key in sorted(summary)[:8]:

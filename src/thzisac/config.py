@@ -1,16 +1,16 @@
 """Experiment configuration: dataclass schema, strict YAML loading, RNG streams.
 
 Config keys carry explicit units in their names (delta_f_khz, range_m, ...).
-Unknown keys are rejected with the full offending path so silent typos cannot
-skew a reproduction run.
+Unknown keys are rejected with the full offending path, and a key given twice
+is rejected too, so silent typos cannot skew a reproduction run.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-import numbers
 import typing
 from dataclasses import dataclass, field, fields
 
@@ -27,6 +27,22 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
+def _field(default, **rules):
+    """Schema field with its single-field rules, checked as the YAML is read.
+
+    ``ge``, ``gt`` and ``le`` bound a number, ``one_of`` lists the allowed
+    values and ``nonempty`` rejects an empty list. A list field applies all but
+    ``nonempty`` to each entry. A callable default is a default factory.
+    """
+    if callable(default):
+        return field(default_factory=default, metadata=rules)
+    return field(default=default, metadata=rules)
+
+
+_AZIMUTH = {"ge": -90, "le": 90}  # the azimuth convention of geometry.py
+_ETA = {"ge": 0, "le": 1}
+
+
 @dataclass
 class FrameSpec:
     m_subcarriers: int = 64
@@ -34,7 +50,7 @@ class FrameSpec:
     q_slots: int = 32
     delta_f_khz: float = 1920.0
     fc_ghz: float = 300.0
-    cp_fraction: float = 0.25
+    cp_fraction: float = _field(0.25, ge=0, le=1)
 
     def to_frame(self, m_subcarriers: int = None, delta_f_khz: float = None) -> FrameConfig:
         m_sc = self.m_subcarriers if m_subcarriers is None else m_subcarriers
@@ -46,13 +62,13 @@ class FrameSpec:
 
 @dataclass
 class ArraySpec:
-    w_tx: int = 32
-    l_tx: int = 32
-    w_rx: int = 32
-    l_rx: int = 32
-    n_rf_tx: int = 4
-    n_rf_rx: int = 4
-    n_streams: int = 4
+    w_tx: int = _field(32, ge=1)
+    l_tx: int = _field(32, ge=1)
+    w_rx: int = _field(32, ge=1)
+    l_rx: int = _field(32, ge=1)
+    n_rf_tx: int = _field(4, ge=1)
+    n_rf_rx: int = _field(4, ge=1)
+    n_streams: int = _field(4, ge=1)
     n_closed_rx: int = 4
 
     def tx_geom(self) -> UpaGeometry:
@@ -74,54 +90,56 @@ class ArraySpec:
 class CommSpec:
     num_nlos: int = 4
     nlos_extra_loss_db: float = 15.0
-    path_spread_deg: float = 60.0
+    path_spread_deg: float = _field(60.0, ge=0)
     los_range_m: float = 10.0
 
 
 @dataclass
 class TargetSpec:
-    range_m: float = 15.0
+    range_m: float = _field(15.0, gt=0)
     velocity_mps: float = 20.0
-    azimuth_deg: float = 70.0
+    azimuth_deg: float = _field(70.0, **_AZIMUTH)
     snr_db: float = 0.0
 
 
 @dataclass
 class SceneSpec:
-    noise_power: float = 1.0
-    targets: list = field(default_factory=lambda: [TargetSpec()])
+    noise_power: float = _field(1.0, ge=0)
+    targets: list[TargetSpec] = _field(lambda: [TargetSpec()], nonempty=True)
 
 
 @dataclass
 class TradeoffSpec:
-    eta_grid: list[float] = field(default_factory=lambda: [round(0.1 * k, 1) for k in range(11)])
+    eta_grid: list[float] = _field(lambda: [round(0.1 * k, 1) for k in range(11)],
+                                   nonempty=True, **_ETA)
     snr_db: float = -20.0
-    structures: list[int] = field(default_factory=lambda: [4, 8, 16])
-    sensing_azimuth_deg: float = -65.0
-    algorithms: list = field(default_factory=lambda: ["vec", "sca"])
+    structures: list[int] = _field(lambda: [4, 8, 16], nonempty=True)
+    sensing_azimuth_deg: float = _field(-65.0, **_AZIMUTH)
+    algorithms: list[str] = _field(lambda: ["vec", "sca"], one_of=("vec", "sca"))
 
 
 @dataclass
 class SeSweepSpec:
-    snr_grid_db: list[float] = field(default_factory=lambda: [-40, -35, -30, -25, -20, -15, -10])
-    etas: list[float] = field(default_factory=lambda: [0.6, 1.0])
-    structures: list[int] = field(default_factory=lambda: [4, 8, 16])
-    sensing_azimuth_deg: float = -65.0
+    snr_grid_db: list[float] = _field(lambda: [-40, -35, -30, -25, -20, -15, -10],
+                                      nonempty=True)
+    etas: list[float] = _field(lambda: [0.6, 1.0], **_ETA)
+    structures: list[int] = _field(lambda: [4, 8, 16], nonempty=True)
+    sensing_azimuth_deg: float = _field(-65.0, **_AZIMUTH)
 
 
 @dataclass
 class BeamScanSpec:
-    slots: list[int] = field(default_factory=lambda: [3, 4, 5, 6])
-    eta: float = 0.5
+    slots: list[int] = _field(lambda: [3, 4, 5, 6], nonempty=True, ge=1)
+    eta: float = _field(0.5, **_ETA)
     n_closed: int = 16
-    angle_step_deg: float = 0.1
+    angle_step_deg: float = _field(0.1, gt=0)
 
 
 @dataclass
 class McRmseSpec:
-    eta: float = 0.4
-    snr_grid_db: list[float] = field(default_factory=lambda: [-10.0, -5.0, 0.0])
-    music_step_deg: float = 0.01
+    eta: float = _field(0.4, **_ETA)
+    snr_grid_db: list[float] = _field(lambda: [-10.0, -5.0, 0.0], nonempty=True)
+    music_step_deg: float = _field(0.01, gt=0)
     n_closed: int = 4
     delta_f_khz: float = 3840.0
     angle_gate_deg: float = 1.0
@@ -134,11 +152,11 @@ class IsiDemoSpec:
     m_subcarriers: int = 1024
     delta_f_khz_control: float = 480.0
     delta_f_khz_isi: float = 3840.0
-    targets: list = field(default_factory=lambda: [
+    targets: list[TargetSpec] = field(default_factory=lambda: [
         TargetSpec(range_m=10.0, velocity_mps=5.0, snr_db=-10.0),
         TargetSpec(range_m=45.0, velocity_mps=5.0, snr_db=-10.0)])
     max_range_m: float = 55.0
-    max_speed_mps: float = 30.0
+    max_speed_mps: float = _field(30.0, ge=0)
 
 
 @dataclass
@@ -147,18 +165,18 @@ class IciDemoSpec:
     delta_f_khz: float = 120.0
     velocity_control_mps: float = 5.0
     velocity_ici_mps: float = 50.0
-    targets: list = field(default_factory=lambda: [
+    targets: list[TargetSpec] = field(default_factory=lambda: [
         TargetSpec(range_m=10.0, velocity_mps=50.0, snr_db=-10.0),
         TargetSpec(range_m=20.0, velocity_mps=50.0, snr_db=-15.0),
         TargetSpec(range_m=30.0, velocity_mps=50.0, snr_db=20.0)])
     max_range_m: float = 40.0
-    max_speed_mps: float = 55.0
+    max_speed_mps: float = _field(55.0, ge=0)
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int = 20240901
-    trials: int = 20
+    seed: int = _field(20240901, ge=0)
+    trials: int = _field(20, ge=1)
     frame: FrameSpec = field(default_factory=FrameSpec)
     arrays: ArraySpec = field(default_factory=ArraySpec)
     comm: CommSpec = field(default_factory=CommSpec)
@@ -171,90 +189,74 @@ class ExperimentConfig:
     ici_demo: IciDemoSpec = field(default_factory=IciDemoSpec)
 
 
-_LIST_FIELDS = {"targets": TargetSpec}
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _build(cls, data, path: str):
+def _build(cls, data, path: str, problems: list):
+    """``cls`` from YAML data; each unknown key, wrong type or broken rule joins ``problems``."""
     if data is None:
         data = {}
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(data).__name__}")
+        problems.append(f"{path or 'config'}: expected a mapping, got {type(data).__name__}")
+        return None
     known = {f.name: f for f in fields(cls)}
     unknown = [f"{path}.{k}" if path else k for k in data if k not in known]
     if unknown:
-        raise ConfigError("unknown config keys: " + ", ".join(sorted(unknown)))
+        problems.append("unknown config keys: " + ", ".join(sorted(unknown)))
+    hints = _type_hints(cls)
     kwargs = {}
     for name, spec in known.items():
-        if name not in data:
-            continue
-        value = data[name]
-        here = f"{path}.{name}" if path else name
-        if name in _LIST_FIELDS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{here}: expected a list")
-            kwargs[name] = [_build(_LIST_FIELDS[name], v, f"{here}[{i}]")
-                            for i, v in enumerate(value)]
-        elif dataclasses.is_dataclass(spec.default_factory):
-            kwargs[name] = _build(spec.default_factory, value, here)
-        else:
-            kwargs[name] = value
+        if name in data:
+            here = f"{path}.{name}" if path else name
+            kwargs[name] = _leaf(hints[name], data[name], spec.metadata, here, problems)
     return cls(**kwargs)
 
 
+def _leaf(kind, value, rules, here: str, problems: list):
+    """``value`` read as the schema type ``kind``, checked against its field's ``rules``."""
+    if dataclasses.is_dataclass(kind):
+        return _build(kind, value, here, problems)
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            problems.append(f"{here} must be a list, got {value!r}")
+            return value
+        if rules.get("nonempty") and not value:
+            problems.append(f"{here} must not be empty")
+        item = typing.get_args(kind)[0]
+        return [_leaf(item, v, rules, f"{here}[{i}]", problems) for i, v in enumerate(value)]
+    ge, gt, le = rules.get("ge"), rules.get("gt"), rules.get("le")
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        noun = {int: "an integer", float: "a number", str: "a string"}[kind]
+        problems.append(f"{here} must be {noun}, got {value!r}")
+    elif ge is not None and not value >= ge:
+        problems.append(f"{here} must be >= {ge}, got {value}")
+    elif gt is not None and not value > gt:
+        problems.append(f"{here} must be > {gt}, got {value}")
+    elif le is not None and not value <= le:
+        problems.append(f"{here} must be <= {le}, got {value}")
+    elif "one_of" in rules and value not in rules["one_of"]:
+        problems.append(f"{here} must be one of {rules['one_of']}, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    cfg = _build(ExperimentConfig, data, "")
-    _validate(cfg)
+    problems = []
+    cfg = _build(ExperimentConfig, data, "", problems)
+    # the cross-field checks compare numbers and would fail on a leaf with a problem
+    problems = problems or _validate(cfg)
+    if problems:
+        raise ConfigError("; ".join(problems))
     return cfg
 
 
-_NUMBER_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}
-
-
-def _type_problems(spec, path: str = "") -> list:
-    """Every numeric field or list entry whose value does not match its declared type.
-
-    An int field takes integers only, a float field any real number; bools are
-    neither. Nested sections and target lists are walked recursively.
-    """
-    problems = []
-    for name, kind in typing.get_type_hints(type(spec)).items():
-        value = getattr(spec, name)
-        here = f"{path}.{name}" if path else name
-        if dataclasses.is_dataclass(value):
-            problems.extend(_type_problems(value, here))
-        elif name in _LIST_FIELDS:
-            for i, item in enumerate(value):
-                problems.extend(_type_problems(item, f"{here}[{i}]"))
-        elif typing.get_origin(kind) is list and typing.get_args(kind)[0] in _NUMBER_KINDS:
-            number, noun = _NUMBER_KINDS[typing.get_args(kind)[0]]
-            if not isinstance(value, list):
-                problems.append(f"{here} must be a list, got {value!r}")
-                continue
-            problems.extend(f"{here}[{i}] must be {noun}, got {item!r}"
-                            for i, item in enumerate(value)
-                            if isinstance(item, bool) or not isinstance(item, number))
-        elif kind in _NUMBER_KINDS:
-            number, noun = _NUMBER_KINDS[kind]
-            if isinstance(value, bool) or not isinstance(value, number):
-                problems.append(f"{here} must be {noun}, got {value!r}")
-    return problems
-
-
-def _validate(cfg: ExperimentConfig):
-    problems = _type_problems(cfg)
-    if problems:
-        # the range checks below compare numbers and would fail on these
-        raise ConfigError("; ".join(problems))
+def _validate(cfg: ExperimentConfig) -> list:
+    """Problems that involve two or more fields, each of which meets its own rules."""
     arr = cfg.arrays
-    sizes = [name for name in ("w_tx", "l_tx", "w_rx", "l_rx", "n_rf_tx", "n_rf_rx", "n_streams")
-             if getattr(arr, name) < 1]
-    if sizes:
-        problems.append(f"arrays: {', '.join(sizes)} must be >= 1")
-    else:
-        if arr.tx_geom().n_elements % arr.n_rf_tx:
-            problems.append("arrays: transmit elements not divisible by n_rf_tx")
-        if arr.rx_geom().n_elements % arr.n_rf_rx:
-            problems.append("arrays: receive elements not divisible by n_rf_rx")
+    problems = []
+    if arr.tx_geom().n_elements % arr.n_rf_tx:
+        problems.append("arrays: transmit elements not divisible by n_rf_tx")
+    if arr.rx_geom().n_elements % arr.n_rf_rx:
+        problems.append("arrays: receive elements not divisible by n_rf_rx")
     if arr.n_streams > arr.n_rf_tx:
         problems.append("arrays: n_streams exceeds n_rf_tx")
     for name, counts, n_rf in (("tradeoff", cfg.tradeoff.structures, arr.n_rf_tx),
@@ -265,62 +267,15 @@ def _validate(cfg: ExperimentConfig):
         for n_c in counts:
             if not n_rf <= n_c <= n_rf ** 2:
                 problems.append(f"{name}: closed-switch count {n_c} outside [{n_rf}, {n_rf ** 2}]")
-    unknown = [a for a in cfg.tradeoff.algorithms if a not in ("vec", "sca")]
-    if unknown:
-        problems.append(f"tradeoff: unknown algorithms {unknown}, expected 'vec' or 'sca'")
-    for name, items in (("scene.targets", cfg.scene.targets),
-                        ("beam_scan.slots", cfg.beam_scan.slots),
-                        ("tradeoff.structures", cfg.tradeoff.structures),
-                        ("se_sweep.structures", cfg.se_sweep.structures),
-                        ("tradeoff.eta_grid", cfg.tradeoff.eta_grid),
-                        ("se_sweep.snr_grid_db", cfg.se_sweep.snr_grid_db),
-                        ("mc_rmse.snr_grid_db", cfg.mc_rmse.snr_grid_db)):
-        if not items:
-            problems.append(f"{name} must not be empty")
-    azimuths = [(f"scene.targets[{i}].azimuth_deg", t.azimuth_deg)
-                for i, t in enumerate(cfg.scene.targets)]
-    azimuths += [(f"{name}.sensing_azimuth_deg", spec.sensing_azimuth_deg)
-                 for name, spec in (("tradeoff", cfg.tradeoff), ("se_sweep", cfg.se_sweep))]
-    for name, azimuth in azimuths:
-        if not -90.0 <= azimuth <= 90.0:  # the azimuth convention of geometry.py
-            problems.append(f"{name} {azimuth} outside [-90, 90]")
-    for name, spec in (("scene", cfg.scene), ("isi_demo", cfg.isi_demo),
-                       ("ici_demo", cfg.ici_demo)):
-        problems.extend(f"{name}.targets[{i}].range_m must be > 0, got {t.range_m}"
-                        for i, t in enumerate(spec.targets) if not t.range_m > 0)
-    for name, value in (("scene.noise_power", cfg.scene.noise_power),
-                        ("comm.path_spread_deg", cfg.comm.path_spread_deg),
-                        ("isi_demo.max_speed_mps", cfg.isi_demo.max_speed_mps),
-                        ("ici_demo.max_speed_mps", cfg.ici_demo.max_speed_mps)):
-        if not value >= 0:
-            problems.append(f"{name} must be >= 0, got {value}")
-    slots = [q for q in cfg.beam_scan.slots if not 1 <= q <= arr.w_tx]
+    slots = [q for q in cfg.beam_scan.slots if q > arr.w_tx]
     if slots:
-        problems.append(f"beam_scan: slots {slots} outside 1..{arr.w_tx}")
-    for name, step in (("beam_scan.angle_step_deg", cfg.beam_scan.angle_step_deg),
-                       ("mc_rmse.music_step_deg", cfg.mc_rmse.music_step_deg)):
-        if not step > 0:
-            problems.append(f"{name} must be > 0, got {step}")
-    if not 0.0 <= cfg.frame.cp_fraction <= 1.0:
-        problems.append(f"frame: cp_fraction {cfg.frame.cp_fraction} outside [0, 1]")
-    else:
-        for name, df_khz in (("frame", cfg.frame.delta_f_khz),
-                             ("mc_rmse", cfg.mc_rmse.delta_f_khz)):
-            try:
-                cfg.frame.to_frame(delta_f_khz=df_khz)
-            except ValueError as exc:
-                problems.append(f"{name}: {exc}")
-        problems.extend(_range_problems(cfg))
-    for name, low in (("trials", 1), ("seed", 0)):
-        if getattr(cfg, name) < low:
-            problems.append(f"{name} must be >= {low}")
-    for name, etas in (("tradeoff", cfg.tradeoff.eta_grid), ("se_sweep", cfg.se_sweep.etas),
-                       ("beam_scan", [cfg.beam_scan.eta]), ("mc_rmse", [cfg.mc_rmse.eta])):
-        for eta in etas:
-            if not 0.0 <= eta <= 1.0:
-                problems.append(f"{name}: eta {eta} outside [0, 1]")
-    if problems:
-        raise ConfigError("; ".join(problems))
+        problems.append(f"beam_scan: slots {slots} beyond arrays.w_tx = {arr.w_tx}")
+    for name, df_khz in (("frame", cfg.frame.delta_f_khz), ("mc_rmse", cfg.mc_rmse.delta_f_khz)):
+        try:
+            cfg.frame.to_frame(delta_f_khz=df_khz)
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+    return problems + _range_problems(cfg)
 
 
 def _range_problems(cfg: ExperimentConfig) -> list:
@@ -342,12 +297,32 @@ def _range_problems(cfg: ExperimentConfig) -> list:
     return problems
 
 
+class _StrictLoader(yaml.SafeLoader):
+    """SafeLoader that rejects a mapping key given twice."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if not isinstance(key_node, yaml.ScalarNode):
+                continue  # the base class rejects a non-scalar key as unhashable
+            key = (key_node.tag, key_node.value)
+            if key in seen:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    f"found duplicate key {key_node.value!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: str = None, overrides: dict = None) -> ExperimentConfig:
     """Load YAML config (defaults when path is None) with CLI overrides, then validate."""
     data = {}
     if path is not None:
-        with open(path) as fh:
-            data = yaml.safe_load(fh) or {}
+        try:
+            with open(path) as fh:
+                data = yaml.load(fh, Loader=_StrictLoader) or {}
+        except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+            raise ConfigError(" ".join(str(exc).split())) from exc
     if isinstance(data, dict):
         data.update({k: v for k, v in (overrides or {}).items() if v is not None})
     return config_from_dict(data)

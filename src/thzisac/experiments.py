@@ -479,8 +479,8 @@ def run_ici_demo(cfg: ExperimentConfig, out_dir: str) -> dict:
 # Selftest
 # ---------------------------------------------------------------------------
 
-def selftest(cfg: ExperimentConfig = None, verbose: bool = True) -> bool:
-    """Fast invariant suite over a shrunk copy of the default configuration."""
+def selftest(verbose: bool = True) -> bool:
+    """Fast invariant suite on small fixed geometries, frames and precoders."""
     from .geometry import UpaGeometry, dft_codebook as _cb
     from .waveform import FrameConfig, ofdm_demodulate, ofdm_modulate
 

@@ -48,10 +48,6 @@ class AngularWindow:
         """Window negated about broadside (the set -[lo, hi])."""
         return AngularWindow(-self.hi, -self.lo, self.slot_index)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True)
 class SensingCodebook:
@@ -64,10 +60,6 @@ class SensingCodebook:
     columns: np.ndarray
     direction_angles: np.ndarray
     elevation: float
-
-    @property
-    def n_directions(self) -> int:
-        return self.columns.shape[1]
 
 
 def steering_factors(thetas, phi: float, geom: UpaGeometry) -> tuple:

@@ -207,7 +207,7 @@ def test_criterion_8_tradeoff_endpoints_and_monotonicity():
 
 
 def test_criterion_9_invariant_suite(capsys):
-    ok = experiments.selftest(None)
+    ok = experiments.selftest()
     out = capsys.readouterr().out
     print(out)
     _report(9, ok and "FAIL" not in out, "selftest invariants "

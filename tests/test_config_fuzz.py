@@ -1,26 +1,29 @@
-"""Config fuzzing: whatever a config field holds, a run exits 0 or exits 2 with one line.
+"""Config sweep: whatever one config field holds, the config is rejected cleanly or runs.
 
-Each example takes a shrunk config, replaces one schema field with a valid
-value (the shrunk config's own), a boundary value, a wrong type, an empty
-list, zero or a negative number, and runs one CLI command that reads that
-field. An exception escaping the CLI, an exit code other than 0 and 2, or a
-config error that is not one `config error: ...` line fails the example.
+The sweep enumerates every (leaf, value) case of the schema, not a sample. A
+leaf is a scalar field, a list field, or a list's first entry; target lists
+are also walked into their first entry's fields. Each leaf is set, one at a
+time in a shrunk config, to a fixed set of values that does not depend on the
+schema's rules (a wrong type, a bool, an empty list, zero, a negative and a
+fractional number) and to each bound in the field's metadata and the value
+just past it. Every case must be accepted by `config_from_dict` or raise a
+one-line `ConfigError`. Each distinct accepted config then runs through the
+CLI on every command that reads the leaf, and must exit 0.
 """
 
 import contextlib
 import copy
 import dataclasses
 import io
+import math
 import tempfile
 import typing
 from pathlib import Path
 
 import yaml
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from thzisac.cli import main as cli_main
-from thzisac.config import ExperimentConfig, TargetSpec
+from thzisac.config import ConfigError, ExperimentConfig, config_digest, config_from_dict
 
 # the shrunk config of test_harness._tiny_config at one trial, as YAML data
 TINY = {
@@ -38,73 +41,81 @@ TINY = {
                  "targets": [{"range_m": 10.0, "velocity_mps": 50.0, "snr_db": -10.0},
                              {"range_m": 20.0, "velocity_mps": 50.0, "snr_db": -15.0}]},
 }
-KEEP = object()  # draw the shrunk config's own, valid value
-VALUES = {
-    int: [KEEP, 1, "x", [], 0, -1],
-    float: [KEEP, 1.0, "x", [], 0, -1],
-    list[int]: [KEEP, [1], ["x"], "x", [], [0], [-1]],
-    list[float]: [KEEP, [1.0], ["x"], "x", [], [0], [-1]],
-    list: [KEEP, ["vec"], ["x"], "x", [], [0], [-1]],
-    "targets": [KEEP, [{}], ["x"], "x", [], [0], [-1]],
-}
-# the commands that read each section; the rest are read by every runner
-COMMANDS = {"tradeoff": ["tradeoff"], "se_sweep": ["se-sweep"], "beam_scan": ["beam-scan"],
-            "mc_rmse": ["mc-rmse"], "scene": ["mc-rmse"], "isi_demo": ["isi-demo"],
-            "ici_demo": ["ici-demo"]}
-ALL_COMMANDS = ["tradeoff", "se-sweep", "beam-scan", "mc-rmse", "isi-demo", "ici-demo",
-                "selftest"]
+# every leaf spelled out, so that a case only replaces what is already there
+BASE = dataclasses.asdict(config_from_dict(TINY))
+# the fraction is 1.5, not 0.5: the demos' grids grow as 1/spacing, and a
+# 0.5 kHz subcarrier spacing alone takes the ICI demo about 3 s
+FIXED = ["x", True, [], 0, -1, 1.5]
+RUNNERS = ["tradeoff", "se-sweep", "beam-scan", "mc-rmse", "isi-demo", "ici-demo"]
+# the runners that read each section; seed, trials and frame are read by all six
+COMMANDS = {"arrays": RUNNERS[:4], "comm": RUNNERS[:4], "tradeoff": ["tradeoff"],
+            "se_sweep": ["se-sweep"], "beam_scan": ["beam-scan"], "mc_rmse": ["mc-rmse"],
+            "scene": ["mc-rmse"], "isi_demo": ["isi-demo"], "ici_demo": ["ici-demo"]}
 
 
-def _fields(cls, path=()):
-    """(path, kind) for every leaf of the schema; target lists also by their first entry."""
+def _leaves(cls, path=()):
+    """(path, kind, rules) for every leaf of the schema."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
-        here = path + (f.name,)
-        if dataclasses.is_dataclass(f.default_factory):
-            yield from _fields(f.default_factory, here)
-        elif f.name == "targets":
-            yield here, "targets"
-            for sub, kind in _fields(TargetSpec):
-                yield here + (0,) + sub, kind
+        kind, here = hints[f.name], path + (f.name,)
+        if dataclasses.is_dataclass(kind):
+            yield from _leaves(kind, here)
+        elif typing.get_origin(kind) is list:
+            item = typing.get_args(kind)[0]
+            yield here, kind, {}
+            yield here + (0,), item, f.metadata
+            if dataclasses.is_dataclass(item):
+                yield from _leaves(item, here + (0,))
         else:
-            yield here, hints[f.name]
+            yield here, kind, f.metadata
 
 
-FIELDS = list(_fields(ExperimentConfig))
+def _values(kind, rules) -> list:
+    """The fixed values, then each bound in ``rules`` and the value just past it."""
+    values = list(FIXED)
+    for name, outward in (("ge", -1), ("gt", -1), ("le", 1)):
+        if name in rules:
+            bound = rules[name]
+            past = bound + outward if kind is int else math.nextafter(bound, outward * math.inf)
+            values += [bound, past]
+    return values + list(rules.get("one_of", ()))
 
 
-def _with(data: dict, path: tuple, value) -> dict:
-    data = copy.deepcopy(data)
-    node = data
-    for key in path[:-1]:
-        if isinstance(key, str) and key not in node:
-            node[key] = [{}] if key == "targets" else {}
-        node = node[key]
-    node[path[-1]] = value
+def _with(data, path: tuple, value):
+    """``data`` with the leaf at ``path`` replaced; the nodes off the path are shared."""
+    if not path:
+        return value
+    data = copy.copy(data)
+    data[path[0]] = _with(data[path[0]], path[1:], value)
     return data
 
 
-@st.composite
-def _cases(draw):
-    path, kind = draw(st.sampled_from(FIELDS))
-    value = draw(st.sampled_from(VALUES[kind]))
-    command = draw(st.sampled_from(COMMANDS.get(path[0], ALL_COMMANDS)))
-    return path, value, command
+def _cases():
+    for path, kind, rules in _leaves(ExperimentConfig):
+        for value in _values(kind, rules):
+            yield path, value
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_cases())
-def test_every_config_field_runs_or_exits_two(case):
-    path, value, command = case
-    data = TINY if value is KEEP else _with(TINY, path, value)
+def test_every_config_field_runs_or_exits_two():
+    runs = {}
+    for path, value in _cases():
+        data = _with(BASE, path, value)
+        try:
+            digest = config_digest(config_from_dict(data))
+        except ConfigError as exc:
+            assert "\n" not in str(exc), (path, value, str(exc))
+            continue
+        for command in COMMANDS.get(path[0], RUNNERS):
+            runs.setdefault((digest, command), (data, path, value))
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "config.yaml"
-        config.write_text(yaml.safe_dump(data))
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = cli_main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
-    assert rc in (0, 2), f"{command} exited {rc} with {path} = {value!r}"
-    if rc == 2:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+        for (_, command), (data, path, value) in runs.items():
+            config.write_text(yaml.safe_dump(data))
+            err = io.StringIO()
+            case = f"{command} with {path} = {value!r}"
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    rc = cli_main([command, "--config", str(config), "--out", f"{tmp}/out"])
+            except Exception as exc:
+                raise AssertionError(f"{case} raised {exc!r}") from exc
+            assert rc == 0, f"{case} exited {rc}: {err.getvalue()}"

@@ -49,16 +49,18 @@ def test_validation_errors():
         config_from_dict({"seed": 1.5})
     with pytest.raises(ConfigError, match="trials must be an integer, got True"):
         config_from_dict({"trials": True})
-    with pytest.raises(ConfigError, match=r"tradeoff: unknown algorithms \['svd'\]"):
+    with pytest.raises(ConfigError, match=r"tradeoff.algorithms\[1\] must be one of "
+                                          r"\('vec', 'sca'\), got 'svd'"):
         config_from_dict({"tradeoff": {"algorithms": ["vec", "svd"]}})
-    for slot in (0, 33):
-        with pytest.raises(ConfigError, match=rf"beam_scan: slots \[{slot}\] outside 1..32"):
-            config_from_dict({"beam_scan": {"slots": [3, slot]}})
+    with pytest.raises(ConfigError, match=r"beam_scan.slots\[1\] must be >= 1, got 0"):
+        config_from_dict({"beam_scan": {"slots": [3, 0]}})
+    with pytest.raises(ConfigError, match=r"beam_scan: slots \[33\] beyond arrays.w_tx = 32"):
+        config_from_dict({"beam_scan": {"slots": [3, 33]}})
     with pytest.raises(ConfigError, match="angle_step_deg must be > 0"):
         config_from_dict({"beam_scan": {"angle_step_deg": 0}})
     with pytest.raises(ConfigError, match="music_step_deg must be > 0"):
         config_from_dict({"mc_rmse": {"music_step_deg": 0}})
-    with pytest.raises(ConfigError, match=r"cp_fraction 2 outside \[0, 1\]"):
+    with pytest.raises(ConfigError, match="frame.cp_fraction must be <= 1, got 2"):
         config_from_dict({"frame": {"cp_fraction": 2}})
     with pytest.raises(ConfigError, match="n_closed_rx: closed-switch count 99"):
         config_from_dict({"arrays": {"n_closed_rx": 99}})
@@ -75,7 +77,7 @@ def test_validation_errors():
             ({"scene": {"noise_power": -1}}, "scene.noise_power must be >= 0, got -1"),
             ({"scene": {"targets": []}}, "scene.targets must not be empty"),
             ({"mc_rmse": {"delta_f_khz": 0}}, "mc_rmse: delta_f and fc must be positive"),
-            ({"arrays": {"n_rf_tx": 0}}, "arrays: n_rf_tx must be >= 1"),
+            ({"arrays": {"n_rf_tx": 0}}, "arrays.n_rf_tx must be >= 1, got 0"),
             ({"beam_scan": {"slots": []}}, "beam_scan.slots must not be empty"),
             ({"tradeoff": {"structures": []}}, "tradeoff.structures must not be empty"),
             ({"se_sweep": {"structures": []}}, "se_sweep.structures must not be empty"),
@@ -83,11 +85,11 @@ def test_validation_errors():
             ({"se_sweep": {"snr_grid_db": []}}, "se_sweep.snr_grid_db must not be empty"),
             ({"mc_rmse": {"snr_grid_db": []}}, "mc_rmse.snr_grid_db must not be empty"),
             ({"scene": {"targets": [{}, {"azimuth_deg": 170}]}},
-             r"scene.targets\[1\].azimuth_deg 170 outside \[-90, 90\]"),
+             r"scene.targets\[1\].azimuth_deg must be <= 90, got 170"),
             ({"tradeoff": {"sensing_azimuth_deg": -95}},
-             r"tradeoff.sensing_azimuth_deg -95 outside \[-90, 90\]"),
+             "tradeoff.sensing_azimuth_deg must be >= -90, got -95"),
             ({"se_sweep": {"sensing_azimuth_deg": 90.5}},
-             r"se_sweep.sensing_azimuth_deg 90.5 outside \[-90, 90\]"),
+             "se_sweep.sensing_azimuth_deg must be <= 90, got 90.5"),
             ({"comm": {"path_spread_deg": -1}}, "comm.path_spread_deg must be >= 0, got -1"),
             ({"ici_demo": {"max_speed_mps": -1}}, "ici_demo.max_speed_mps must be >= 0, got -1"),
             ({"isi_demo": {"targets": [{"range_m": 0}]}},
@@ -95,7 +97,20 @@ def test_validation_errors():
             ({"scene": {"targets": [{}, {"range_m": -1}]}},
              r"scene.targets\[1\].range_m must be > 0, got -1"),
             ({"isi_demo": {"delta_f_khz_control": 0}},
-             "isi_demo: delta_f and fc must be positive")):
+             "isi_demo: delta_f and fc must be positive"),
+            ({"frame": {"cp_fraction": -0.5}}, "frame.cp_fraction must be >= 0, got -0.5"),
+            ({"scene": {"targets": [{"azimuth_deg": -90.5}]}},
+             r"scene.targets\[0\].azimuth_deg must be >= -90, got -90.5"),
+            ({"isi_demo": {"targets": [{"azimuth_deg": 95}]}},
+             r"isi_demo.targets\[0\].azimuth_deg must be <= 90, got 95"),
+            ({"tradeoff": {"sensing_azimuth_deg": 95}},
+             "tradeoff.sensing_azimuth_deg must be <= 90, got 95"),
+            ({"se_sweep": {"sensing_azimuth_deg": -90.5}},
+             "se_sweep.sensing_azimuth_deg must be >= -90, got -90.5"),
+            ({"arrays": {"n_rf_tx": 3, "n_streams": 3}},
+             "arrays: transmit elements not divisible by n_rf_tx"),
+            ({"arrays": {"n_rf_rx": 3, "n_closed_rx": 4}},
+             "arrays: receive elements not divisible by n_rf_rx")):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
     # every numeric field and list entry is checked against its declared type
@@ -262,7 +277,7 @@ def test_trial_rows_do_not_depend_on_trial_count(tmp_path):
 
 
 def test_selftest_passes(capsys):
-    assert experiments.selftest(None)
+    assert experiments.selftest()
     out = capsys.readouterr().out
     assert "PASS codebook_orthonormal" in out
     assert "FAIL" not in out
@@ -290,6 +305,36 @@ def test_cli_config_error_exit_two(tmp_path):
         bad.write_text(text)
         assert cli_main([command, "--config", str(bad), "--out", str(tmp_path),
                          "--trials", "1"]) == 2
+
+
+def _config_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), lines
+    return lines[0]
+
+
+def test_cli_malformed_yaml_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("frame: {m_subcarriers: [\n")
+    assert cli_main(["se-sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "while parsing a flow node" in _config_error_line(capsys)
+
+
+def test_cli_config_directory_exit_two(tmp_path, capsys):
+    assert cli_main(["se-sweep", "--config", str(tmp_path), "--out", str(tmp_path)]) == 2
+    assert str(tmp_path) in _config_error_line(capsys)
+
+
+def test_duplicate_yaml_key_rejected(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("frame:\n  m_subcarriers: 16\n  m_subcarriers: 32\n")
+    with pytest.raises(ConfigError, match="found duplicate key 'm_subcarriers'"):
+        load_config(str(bad))
+    assert cli_main(["se-sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    _config_error_line(capsys)
+    # the same key in two mappings is not a duplicate
+    bad.write_text("frame:\n  m_subcarriers: 16\nisi_demo:\n  m_subcarriers: 128\n")
+    assert load_config(str(bad)).isi_demo.m_subcarriers == 128
 
 
 @pytest.mark.parametrize("argv", [["mc-rmse", "--trials", "0"],
