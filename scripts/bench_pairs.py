@@ -14,7 +14,10 @@ first in even pairs and the change first in odd ones, so slow drift of the
 host loads both sides alike.
 The output keeps every run's env and result lines, and per workload and
 end-to-end metric: the parent's and the change's q1/median/q3, the median
-ratio and the number of pairs in which the change was better.
+ratio and the number of pairs in which the change was better. After its pairs,
+each workload also runs once per side with `--trace 1` on the first seed, and
+the output lists every per-layer metric of the two traced runs with its shift,
+change minus parent.
 """
 
 import argparse
@@ -47,11 +50,12 @@ def unpack(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `perfbench/run.py --trace 0` run in tree: its rc, env line and result line."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One `perfbench/run.py` run in tree: its rc, env line and result line."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     env_line = next((line for line in lines if line.startswith("env ")), None)
@@ -108,6 +112,29 @@ def summarize(runs: list, better: dict) -> dict:
     return out
 
 
+def layer_shifts(traced: list) -> dict:
+    """workload -> per-layer metric -> parent, change and shift (change - parent).
+
+    ``traced`` holds one `--trace 1` run record per side and workload. A metric
+    only one side reports, or a side without a result line, reads None.
+    """
+    out = {}
+    for workload in dict.fromkeys(r["workload"] for r in traced):
+        values = {side: {} for side in SIDES}
+        for r in traced:
+            if r["workload"] == workload and r["result"]:
+                values[r["side"]] = {name: m["value"]
+                                     for name, m in json.loads(r["result"])["metrics"].items()}
+        rows = {}
+        for name in sorted(set(values["parent"]) | set(values["change"])):
+            parent, change = (values[side].get(name) for side in SIDES)
+            rows[name] = {"parent": parent, "change": change,
+                          "shift": None if parent is None or change is None
+                          else change - parent}
+        out[workload] = rows
+    return out
+
+
 def host_env(runs: list) -> dict:
     """The host part of the first run's env line."""
     for r in runs:
@@ -141,7 +168,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=args.work_dir) as work:
         trees = {side: Path(work) / side for side in SIDES}
         commits = {side: unpack(getattr(args, side), trees[side]) for side in SIDES}
-        runs = []
+        runs, traced = [], []
         for workload in workloads:
             for pair, seed in enumerate(seeds):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -152,6 +179,12 @@ def main(argv=None) -> int:
                     runs.append(record)
                     print(f"{workload} pair {pair} seed {seed} {side}: rc {record['rc']} "
                           f"{record['result']}", flush=True)
+            for side in SIDES:
+                record = {"side": side, "workload": workload, "seed": seeds[0],
+                          **run_once(trees[side], workload, seeds[0], seconds, trace=1)}
+                traced.append(record)
+                print(f"{workload} traced seed {seeds[0]} {side}: rc {record['rc']}",
+                      flush=True)
 
     report = {
         "what": "perfbench end-to-end runs of a parent and a change commit from two "
@@ -163,7 +196,11 @@ def main(argv=None) -> int:
         "env": host_env(runs),
         "seeds": f"{seeds[0]}-{seeds[-1]} for every workload, parent first in even pairs",
         "summary": summarize(runs, better),
+        "trace_command": f"python3 perfbench/run.py --workload <w> --seed {seeds[0]} "
+                         f"--trace 1 --seconds {seconds:g}, once per side",
+        "layers": layer_shifts(traced),
         "runs": runs,
+        "traced_runs": traced,
     }
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -104,7 +104,7 @@ class TargetSpec:
 
 @dataclass
 class SceneSpec:
-    noise_power: float = _field(1.0, ge=0)
+    noise_power: float = _field(1.0, gt=0)
     targets: list[TargetSpec] = _field(lambda: [TargetSpec()], nonempty=True)
 
 
@@ -142,9 +142,9 @@ class McRmseSpec:
     music_step_deg: float = _field(0.01, gt=0)
     n_closed: int = 4
     delta_f_khz: float = 3840.0
-    angle_gate_deg: float = 1.0
-    range_gate_m: float = 1.0
-    velocity_gate_mps: float = 5.0
+    angle_gate_deg: float = _field(1.0, gt=0)
+    range_gate_m: float = _field(1.0, gt=0)
+    velocity_gate_mps: float = _field(5.0, gt=0)
 
 
 @dataclass

@@ -266,11 +266,11 @@ def _greedy_match(truths, candidates, distance) -> list:
     return matches
 
 
-def _target_tx_gains(targets, precoders, tx_geom, ns):
-    """Average transmit power toward each target under the designed beams."""
+def _target_tx_gains(azimuths, precoders, tx_geom, ns):
+    """Average transmit power toward each target azimuth, at elevation pi/2, under the beams."""
     gains = []
-    for tgt in targets:
-        a_t = sensing_rx.steering_upa(tgt.azimuth, tgt.elevation, tx_geom)
+    for azimuth in azimuths:
+        a_t = sensing_rx.steering_upa(azimuth, np.pi / 2, tx_geom)
         g = precoders.beam_response(a_t)
         gains.append(float(np.mean(np.sum(np.abs(g) ** 2, axis=1)) / ns))
     return np.array(gains)
@@ -294,32 +294,36 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
         q = slot_for_angle(np.deg2rad(t.azimuth_deg), tx_geom)
         slot_map.setdefault(q, []).append(t)
 
-    precoders = {q: _design_precoders(cfg, comm, codebook, q, spec.eta,
-                                      spec.n_closed, "vec",
-                                      child_rng(cfg.seed, "mc-rmse", q, 0))
-                 for q in slot_map}
     rx_switch = arr.rx_switch()
+
+    # what each slot's trials share: precoders, the targets' transmit gains
+    # under them, the mirrored search window and MUSIC's grid over it
+    slots = {}
+    for q, specs in sorted(slot_map.items()):
+        pre = _design_precoders(cfg, comm, codebook, q, spec.eta, spec.n_closed, "vec",
+                                child_rng(cfg.seed, "mc-rmse", q, 0))
+        azimuths = [np.deg2rad(t.azimuth_deg) for t in specs]
+        search = sensing_window(q, tx_geom).mirrored()
+        slots[q] = (specs, azimuths, pre, _target_tx_gains(azimuths, pre, tx_geom, ns),
+                    search, sensing_rx.music_grid(search, spec.music_step_deg, rx_geom))
 
     def one_trial(i_snr, snr_db, trial):
         rng = child_rng(cfg.seed, "mc-rmse", 1 + i_snr, trial)
         errors = []
-        for q, specs in sorted(slot_map.items()):
-            pre = precoders[q]
+        for q, (specs, azimuths, pre, gains, search, grid) in slots.items():
             targets = [ch.SensingTarget(range_m=t.range_m, velocity_mps=t.velocity_mps,
-                                        azimuth=np.deg2rad(t.azimuth_deg),
-                                        effective_snr_db=snr_db) for t in specs]
+                                        azimuth=azimuth, effective_snr_db=snr_db)
+                       for t, azimuth in zip(specs, azimuths)]
             scene = ch.SensingScene(targets=targets, noise_power=cfg.scene.noise_power)
-            gains = _target_tx_gains(targets, pre, tx_geom, ns)
             scene = ch.resolve_coeffs(scene, gains, tx_geom.n_elements, rng)
             symbols = generate_symbols(frame, ns, rng)
-            search = sensing_window(q, tx_geom).mirrored()
             comb = sensing_rx.receive_combiner(search, arr.n_rf_rx, rx_geom, rng,
                                                switch=rx_switch)
             block = sensing_rx.simulate_rx(scene, pre, symbols, comb, frame, q,
                                            tx_geom, rx_geom, rng, check_model=False)
             ests = sensing_rx.estimate_slot(block, comb, pre, symbols, frame, search,
                                             len(targets), tx_geom, rx_geom,
-                                            grid_step_deg=spec.music_step_deg)
+                                            grid_step_deg=spec.music_step_deg, grid=grid)
             nearest = _greedy_match(targets, ests, lambda t, e: abs(e[0] - t.azimuth))
             for tgt, match in zip(targets, nearest):
                 if match is None:
@@ -409,12 +413,16 @@ def _isi_ici_scenario(cfg, exp_name, frame, target_specs, out_rows, prof_rows,
                                  est.range_hat if est else np.nan,
                                  est.velocity_hat if est else np.nan, err))
 
-    # range profiles from the first trial
-    pair, y, _, _ = results[0]
+    # range profiles from the first trial; the tackled one comes with the
+    # first cancellation pass, which scanned y itself
+    pair, y, tackled, _ = results[0]
     taus, unaware_prof = isi_ici.unaware_range_profile(y, pair, frame, tau_max)
     prof_u = unaware_prof.max(axis=1)
     prof_u /= prof_u.max()
-    t_nodes, prof_t = isi_ici.tackled_range_profile(y, pair, frame, tau_max, nu_max)
+    if tackled:
+        t_nodes, prof_t = tackled[0].range_profile
+    else:
+        t_nodes, prof_t = isi_ici.tackled_range_profile(y, pair, frame, tau_max, nu_max)
     prof_t = prof_t / prof_t.max()
     for t, v in zip(taus, prof_u):
         prof_rows.append((scenario["label"], "unaware", ch.range_of_delay(t), v))

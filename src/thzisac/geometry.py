@@ -82,7 +82,7 @@ def steering_upa(theta: float, phi: float, geom: UpaGeometry) -> np.ndarray:
     Entry (l*W + w) is exp(j*pi*(w*sin(theta)*sin(phi) + l*cos(phi))) / sqrt(W*L).
     """
     a_z, a_y = steering_factors([theta], phi, geom)
-    return np.kron(a_z, a_y[:, 0])
+    return (a_z[:, None] * a_y[:, 0]).reshape(-1)
 
 
 def steering_many(thetas: np.ndarray, phi: float, geom: UpaGeometry) -> np.ndarray:

@@ -16,7 +16,7 @@ target, with beamforming gains folded in by the caller.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,6 +29,17 @@ from .waveform import FrameConfig
 
 class FlatObjectiveError(ValueError):
     """The tackled objective is zero on every coarse node: nothing to detect."""
+
+
+@dataclass
+class TackledEstimate(DelayDopplerEstimate):
+    """A tackled estimate with the range profile of the coarse scan it started from.
+
+    range_profile is (tau_nodes, per-delay maximum over the Doppler nodes), what
+    tackled_range_profile returns for the same input and search box.
+    """
+
+    range_profile: tuple = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -325,8 +336,8 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     Coarse grid at half-bin spacing (T/(2M) in delay, 1/(2*N*T_o) in Doppler)
     over [0, tau_max] x [-nu_max, nu_max], then alternating line searches one
     coarse step around the best node (sensing_rx.alternating_refine) on the
-    receive samples. Returns the DelayDopplerEstimate; raises
-    FlatObjectiveError when the objective is zero on every coarse node.
+    receive samples. Returns a TackledEstimate; raises FlatObjectiveError when
+    the objective is zero on every coarse node.
     """
     d_tau, d_nu, tau_grid, j_max, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
@@ -345,10 +356,11 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
         (tau0, nu0),
         ((max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau)), (nu0 - d_nu, nu0 + d_nu)),
         (1e-6 * d_tau, 1e-6 * d_nu), rounds, iters)
-    return DelayDopplerEstimate(
+    return TackledEstimate(
         tau_hat=tau, nu_hat=nu,
         range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),
-        coarse_bin=(i, j - j_max), peak_value=best)
+        coarse_bin=(i, j - j_max), peak_value=best,
+        range_profile=(tau_grid, prof.max(axis=1)))
 
 
 def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
@@ -356,7 +368,8 @@ def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
     """Per-delay maximum of the tackled objective over the Doppler grid.
 
     Returns (tau_nodes, profile) on the coarse half-bin delay lattice; used to
-    render range profiles next to the unaware ones.
+    render range profiles next to the unaware ones. tackled_estimate carries
+    the same pair for its own input as TackledEstimate.range_profile.
     """
     _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)

@@ -20,6 +20,7 @@ from .precoding import PrecoderSet, SwitchMatrix
 from .waveform import FrameConfig
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -126,9 +127,31 @@ class MusicResult:
     eigenvalues: np.ndarray = None
 
 
+@dataclass
+class MusicGrid:
+    """An azimuth search grid with the Kronecker factors of its UPA responses.
+
+    a_z is (l_count,) and a_y is (w_count, angles.size), as steering_factors
+    returns them. Neither depends on the observations, so one grid serves
+    every trial of a slot.
+    """
+
+    angles: np.ndarray
+    a_z: np.ndarray
+    a_y: np.ndarray
+
+
+def music_grid(search_window: AngularWindow, grid_step_deg: float, geom: UpaGeometry,
+               elevation: float = np.pi / 2) -> MusicGrid:
+    """The window's MUSIC grid, lo to hi inclusive in grid_step_deg steps, with its factors."""
+    step = np.deg2rad(grid_step_deg)
+    angles = np.arange(search_window.lo, search_window.hi + step / 2, step)
+    return MusicGrid(angles, *steering_factors(angles, elevation, geom))
+
+
 def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
                    angle_grid: np.ndarray, geom: UpaGeometry,
-                   elevation: float = np.pi / 2) -> MusicResult:
+                   elevation: float = np.pi / 2, grid: MusicGrid = None) -> MusicResult:
     """Subspace pseudo-spectrum against the combined manifold, peaks refined.
 
     P(theta) = ||W^H a(theta)||^2 / ||U_n^H W^H a(theta)||^2, with U_n the
@@ -136,7 +159,8 @@ def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
     locations get a parabolic refinement on the noise-projection minimum.
     W^H a(theta) is formed through the Kronecker factors a_z kron a_y(theta):
     a_z is folded into the combiner once, leaving a (n_rf, W) by (W, grid)
-    product.
+    product. grid, when given, holds those factors for angle_grid at this
+    elevation and geometry (music_grid); otherwise they are built here.
     """
     if p_q >= block.n_rf:
         raise ValueError(f"p_q={p_q} leaves no noise subspace with {block.n_rf} chains")
@@ -148,7 +172,13 @@ def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
     u_n = evecs[:, p_q:]
 
     angle_grid = np.asarray(angle_grid, dtype=float)
-    a_z, a_y = steering_factors(angle_grid, elevation, geom)
+    if grid is None:
+        a_z, a_y = steering_factors(angle_grid, elevation, geom)
+    elif grid.a_y.shape != (geom.w_count, angle_grid.size):
+        raise ValueError(f"grid factors of shape {grid.a_y.shape} do not fit "
+                         f"{angle_grid.size} angles on {geom.w_count} columns")
+    else:
+        a_z, a_y = grid.a_z, grid.a_y
     w_y = np.tensordot(a_z, combiner.matrix.conj().reshape(geom.l_count, geom.w_count, -1), 1)
     t = w_y.T @ a_y
     num = np.sum(np.abs(t) ** 2, axis=0)
@@ -231,12 +261,13 @@ class MlProfile:
         self.z = np.sum(np.conj(xhat_blocks) * y_blocks, axis=0)
         self.frame = frame
         self.template_energy = float(np.sum(np.abs(xhat_blocks) ** 2))
+        # per-probe phase rates, so a probe only scales them by tau and nu
+        self._tau_rate = 2j * np.pi * np.arange(self.z.shape[0]) * frame.delta_f
+        self._nu_rate = -2j * np.pi * np.arange(self.z.shape[1]) * frame.t_total
 
     def __call__(self, tau: float, nu: float) -> float:
-        m_idx = np.arange(self.z.shape[0])
-        n_idx = np.arange(self.z.shape[1])
-        psi_tau_c = np.exp(2j * np.pi * m_idx * self.frame.delta_f * tau)
-        psi_nu_c = np.exp(-2j * np.pi * n_idx * self.frame.t_total * nu)
+        psi_tau_c = np.exp(self._tau_rate * tau)
+        psi_nu_c = np.exp(self._nu_rate * nu)
         return float(np.abs(psi_tau_c @ self.z @ psi_nu_c) ** 2)
 
     def grid(self) -> np.ndarray:
@@ -286,7 +317,7 @@ def golden_section_max(fun, lo: float, hi: float, iters: int = 40,
     d = e = 0.0
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        tol1 = tol / 3.0 + 4.0 * np.finfo(float).eps * abs(x)
+        tol1 = tol / 3.0 + 4.0 * EPS * abs(x)
         if abs(x - mid) <= 2.0 * tol1 - 0.5 * (b - a):
             break
         parabolic = False
@@ -380,15 +411,17 @@ def estimate_slot(block: ObservationBlock, combiner: ReceiveCombiner,
                   precoders: PrecoderSet, symbols: np.ndarray, frame: FrameConfig,
                   search_window: AngularWindow, p_q: int, tx_geom: UpaGeometry,
                   rx_geom: UpaGeometry, grid_step_deg: float = 0.01,
-                  elevation: float = np.pi / 2) -> list:
+                  elevation: float = np.pi / 2, grid: MusicGrid = None) -> list:
     """Full per-slot pipeline: angles by MUSIC, then delay-Doppler per angle.
 
-    Returns a list of (theta_hat, DelayDopplerEstimate), one entry per assumed
-    target in the slot's search window.
+    grid is music_grid(search_window, grid_step_deg, rx_geom, elevation),
+    built here when not given. Returns a list of (theta_hat,
+    DelayDopplerEstimate), one entry per assumed target in the slot's search
+    window.
     """
-    step = np.deg2rad(grid_step_deg)
-    grid = np.arange(search_window.lo, search_window.hi + step / 2, step)
-    music = music_spectrum(block, combiner, p_q, grid, rx_geom, elevation)
+    if grid is None:
+        grid = music_grid(search_window, grid_step_deg, rx_geom, elevation)
+    music = music_spectrum(block, combiner, p_q, grid.angles, rx_geom, elevation, grid=grid)
     results = []
     for theta in music.peak_angles:
         xhat = reconstruct_reference(theta, elevation, combiner, precoders, symbols,

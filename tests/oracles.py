@@ -117,6 +117,17 @@ def ml_profile_direct_node(y_blocks, xhat_blocks, tau, nu, frame):
     return float(np.abs(total) ** 2)
 
 
+def ml_profile_per_probe(z, tau, nu, frame):
+    """The matched objective of an MlProfile's z at one probe, with every phase rate
+    rebuilt from arange: the formula MlProfile.__call__ evaluated before it kept
+    the rates, in the same operation order."""
+    m_idx = np.arange(z.shape[0])
+    n_idx = np.arange(z.shape[1])
+    psi_tau_c = np.exp(2j * np.pi * m_idx * frame.delta_f * tau)
+    psi_nu_c = np.exp(-2j * np.pi * n_idx * frame.t_total * nu)
+    return float(np.abs(psi_tau_c @ z @ psi_nu_c) ** 2)
+
+
 def random_semi_unitary(rows, cols, rng):
     """Haar-ish semi-unitary matrix from a complex Gaussian QR."""
     a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))

@@ -16,6 +16,7 @@ def _run(side, pair, rate, rss, failed=0, rc=0):
     result = None if rc else json.dumps({
         "correct": failed == 0, "attempted": 10, "failed": failed,
         "metrics": {"trials_per_s": {"value": rate, "unit": "1/s"},
+                    "setup_s": {"value": 1.0, "unit": "s"},
                     "peak_rss_mb": {"value": rss, "unit": "MB"}}})
     return {"side": side, "workload": "w", "seed": 100 + pair, "pair": pair,
             "first_in_pair": (side == "parent") == (pair % 2 == 0),
@@ -47,3 +48,47 @@ def test_summary_reads_each_metric_in_its_own_direction():
                                           ([1.0, 2.0], [1.25, 1.5, 1.75])])
 def test_quartiles_interpolate_like_numpy(values, want):
     assert bench_pairs.quartiles(values) == want
+
+
+def _traced(side, metrics, rc=0):
+    result = None if rc else json.dumps({
+        "correct": True, "attempted": 4, "failed": 0,
+        "metrics": {name: {"value": value, "unit": "s"} for name, value in metrics.items()}})
+    return {"side": side, "workload": "w", "seed": 100, "rc": rc, "env": None,
+            "result": result}
+
+
+def test_layer_shifts_pair_each_metric_across_sides():
+    traced = [_traced("parent", {"a.s": 0.5, "b.s": 0.25, "gone.s": 0.125}),
+              _traced("change", {"a.s": 0.25, "b.s": 0.25, "new.s": 1.0}),
+              {**_traced("parent", {"a.s": 1.0}), "workload": "v"},
+              {**_traced("change", {}, rc=1), "workload": "v"}]
+    shifts = bench_pairs.layer_shifts(traced)
+    assert list(shifts) == ["w", "v"]
+    assert shifts["w"]["a.s"] == {"parent": 0.5, "change": 0.25, "shift": -0.25}
+    assert shifts["w"]["b.s"]["shift"] == 0.0
+    assert shifts["w"]["gone.s"] == {"parent": 0.125, "change": None, "shift": None}
+    assert shifts["w"]["new.s"] == {"parent": None, "change": 1.0, "shift": None}
+    # a traced run without a result line leaves its side empty
+    assert shifts["v"] == {"a.s": {"parent": 1.0, "change": None, "shift": None}}
+
+
+def test_main_traces_each_side_once_per_workload(monkeypatch, tmp_path):
+    calls = []
+
+    def fake_run(tree, workload, seed, seconds, trace=0):
+        calls.append((tree.name, workload, seed, trace))
+        if trace:
+            return _traced(tree.name, {"x.s": 1.0 if tree.name == "parent" else 0.75})
+        return _run(tree.name, 0, 2.0 if tree.name == "change" else 1.0, 50.0)
+
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: rev)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "7", "2",
+                             "--workloads", "w", "--out", str(out)]) == 0
+    assert [c for c in calls if c[3]] == [("parent", "w", 7, 1), ("change", "w", 7, 1)]
+    assert len([c for c in calls if not c[3]]) == 4
+    report = json.loads(out.read_text())
+    assert report["layers"]["w"]["x.s"]["shift"] == -0.25
+    assert report["summary"]["w"]["trials_per_s"]["change_over_parent_median"] == 2.0

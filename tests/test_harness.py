@@ -74,7 +74,7 @@ def test_validation_errors():
     config_from_dict({"isi_demo": {"max_range_m": 780}, "ici_demo": {"max_range_m": 24900}})
     # inputs the runners would otherwise trip over partway through a run
     for data, message in (
-            ({"scene": {"noise_power": -1}}, "scene.noise_power must be >= 0, got -1"),
+            ({"scene": {"noise_power": -1}}, "scene.noise_power must be > 0, got -1"),
             ({"scene": {"targets": []}}, "scene.targets must not be empty"),
             ({"mc_rmse": {"delta_f_khz": 0}}, "mc_rmse: delta_f and fc must be positive"),
             ({"arrays": {"n_rf_tx": 0}}, "arrays.n_rf_tx must be >= 1, got 0"),

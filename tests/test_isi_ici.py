@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thzisac import isi_ici
+from thzisac import experiments, isi_ici
 from thzisac.channel import SensingScene, SensingTarget, delay_of_range, doppler_of_velocity
 from thzisac.isi_ici import (ExtendedTxPair, _coarse_scan, _half_bin_grid,
                              apply_channel_operator, cp_limited_range,
@@ -15,6 +15,7 @@ from thzisac.isi_ici import (ExtendedTxPair, _coarse_scan, _half_bin_grid,
 from thzisac.waveform import FrameConfig, generate_symbols, ofdm_modulate
 
 from oracles import TxBaseband, bruteforce_rx, matched_objective
+from test_harness import _tiny_config
 
 
 @pytest.fixture
@@ -373,6 +374,29 @@ def test_successive_cancellation_two_targets(frame, rng):
     # bounded by the cross-correlation floor rather than the refinement
     assert abs(taus[0] - t1[1]) < 0.02 * frame.t_symbol / 32
     assert abs(taus[1] - t2[1]) < 0.02 * frame.t_symbol / 32
+
+
+def test_first_pass_range_profile_equals_a_rescan(frame, rng):
+    pair = _random_pair(frame, rng)
+    y = sum(a * apply_channel_operator(tau, nu, pair, frame)
+            for a, tau, nu in ((1.0, 0.2 * frame.t_total, 0.0),
+                               (0.25, 1.7 * frame.t_total, 0.1 * frame.delta_f)))
+    y = y + 0.1 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
+    tau_max, nu_max = 2.5 * frame.t_total, 0.3 * frame.delta_f
+    (first, _), (second, _) = successive_cancellation(y, pair, frame, 2, tau_max, nu_max)
+    nodes, prof = isi_ici.tackled_range_profile(y, pair, frame, tau_max, nu_max)
+    assert np.array_equal(first.range_profile[0], nodes)
+    assert np.array_equal(first.range_profile[1], prof)
+    # later passes scan the residual, not y
+    assert not np.array_equal(second.range_profile[1], prof)
+
+
+def test_demo_runner_takes_the_tackled_profile_from_the_first_pass(monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(isi_ici, "tackled_range_profile",
+                        lambda *args: calls.append(args))
+    experiments.run_ici_demo(_tiny_config(trials=1), str(tmp_path))
+    assert calls == []
 
 
 def test_unaware_alias_replica(frame, rng):

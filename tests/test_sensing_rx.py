@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from thzisac import experiments, sensing_rx
 from thzisac.channel import SensingScene, SensingTarget
 from thzisac.geometry import (AngularWindow, UpaGeometry, dft_codebook,
                               sensing_window, slot_for_angle, steering_many,
@@ -9,12 +12,13 @@ from thzisac.precoding import (PrecoderSet, PrecodingTargets,
                                default_switch_pattern, optimal_sensing_precoder,
                                vec_hybrid_precoding)
 from thzisac.sensing_rx import (MlProfile, ObservationBlock, golden_section_max,
-                                gss_refine, ml_profile, music_spectrum, receive_combiner,
-                                reconstruct_reference, sdft_coarse, simulate_rx,
-                                estimate_slot)
+                                gss_refine, ml_profile, music_grid, music_spectrum,
+                                receive_combiner, reconstruct_reference, sdft_coarse,
+                                simulate_rx, estimate_slot)
 from thzisac.waveform import FrameConfig, generate_symbols
 
-from oracles import ml_profile_direct
+from oracles import ml_profile_direct, ml_profile_per_probe
+from test_harness import _tiny_config
 
 
 @pytest.fixture
@@ -255,6 +259,52 @@ def test_music_scale_invariance(geom, frame, rng):
     assert np.isclose(res1.peak_angles[0], res2.peak_angles[0], atol=1e-12)
 
 
+def test_music_with_prebuilt_grid_is_bit_identical(geom, frame, rng):
+    theta = np.deg2rad(72.0)
+    block, comb, pre, sym, window = _noiseless_block(geom, frame, theta, rng, noise=0.05)
+    grid = music_grid(window, 0.05, geom)
+    step = np.deg2rad(0.05)
+    assert np.array_equal(grid.angles, np.arange(window.lo, window.hi + step / 2, step))
+    built = music_spectrum(block, comb, 1, grid.angles, geom)
+    given = music_spectrum(block, comb, 1, grid.angles, geom, grid=grid)
+    for name in ("angles", "spectrum", "peak_angles", "eigenvalues"):
+        assert np.array_equal(getattr(given, name), getattr(built, name)), name
+    with pytest.raises(ValueError, match="do not fit"):
+        music_spectrum(block, comb, 1, grid.angles[1:], geom, grid=grid)
+    own = estimate_slot(block, comb, pre, sym, frame, window, 1, geom, geom,
+                        grid_step_deg=0.05)
+    shared = estimate_slot(block, comb, pre, sym, frame, window, 1, geom, geom,
+                           grid_step_deg=0.05, grid=grid)
+    assert own == shared
+
+
+def test_mc_rmse_builds_music_grid_once_per_slot(monkeypatch, tmp_path):
+    # two targets in two slots, two SNRs and two trials: eight MUSIC runs
+    cfg = _tiny_config(trials=2)
+    cfg.mc_rmse.snr_grid_db = [0.0, 10.0]
+    cfg.scene.targets = [dataclasses.replace(cfg.scene.targets[0], azimuth_deg=az)
+                         for az in (70.0, 40.0)]
+    geom = cfg.arrays.tx_geom()
+    slots = {slot_for_angle(np.deg2rad(t.azimuth_deg), geom) for t in cfg.scene.targets}
+    assert len(slots) == 2
+    real, builds, runs = sensing_rx.steering_factors, [], []
+    real_music = sensing_rx.music_spectrum
+
+    def spy(thetas, *args):
+        builds.append(np.size(thetas))
+        return real(thetas, *args)
+
+    def counted_music(*args, **kwargs):
+        runs.append(1)
+        return real_music(*args, **kwargs)
+
+    monkeypatch.setattr(sensing_rx, "steering_factors", spy)
+    monkeypatch.setattr(sensing_rx, "music_spectrum", counted_music)
+    experiments.run_mc_rmse(cfg, str(tmp_path))
+    assert len(runs) == 8
+    assert len(builds) == 2 and min(builds) > cfg.arrays.n_rf_rx
+
+
 def test_music_requires_noise_subspace(geom, frame, rng):
     theta = np.deg2rad(72.0)
     block, comb, _, _, window = _noiseless_block(geom, frame, theta, rng)
@@ -294,6 +344,15 @@ def test_ml_profile_doppler_periodicity(geom, frame, rng):
     for nu in (0.0, 1.7e3, -2.2e4):
         assert np.isclose(prof(tau, nu), prof(tau, nu + 1.0 / frame.t_total),
                           rtol=1e-9)
+
+
+def test_ml_profile_probe_equals_per_probe_formula(frame, rng):
+    y = rng.standard_normal((2, 32, 8)) + 1j * rng.standard_normal((2, 32, 8))
+    xh = rng.standard_normal((2, 32, 8)) + 1j * rng.standard_normal((2, 32, 8))
+    prof = MlProfile(y, xh, frame)
+    d_tau, d_nu = 1 / (32 * frame.delta_f), 1 / (8 * frame.t_total)
+    for tau, nu in rng.uniform(-3, 40, (50, 2)) * (d_tau, d_nu):
+        assert prof(tau, nu) == ml_profile_per_probe(prof.z, tau, nu, frame)
 
 
 def test_ml_denominator_constant(geom, frame, rng):
