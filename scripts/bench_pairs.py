@@ -17,7 +17,8 @@ end-to-end metric: the parent's and the change's q1/median/q3, the median
 ratio and the number of pairs in which the change was better. After its pairs,
 each workload also runs once per side with `--trace 1` on the first seed, and
 the output lists every per-layer metric of the two traced runs with its shift,
-change minus parent.
+change minus parent. It also records each side's line count of
+src/thzisac/*.py, as `wc -l` gives it, so a refactor reports its net lines.
 """
 
 import argparse
@@ -48,6 +49,12 @@ def unpack(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return commit
+
+
+def src_lines(tree: Path) -> int:
+    """Newlines in tree/src/thzisac/*.py, the total `wc -l src/thzisac/*.py` prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "thzisac").glob("*.py"))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -168,6 +175,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=args.work_dir) as work:
         trees = {side: Path(work) / side for side in SIDES}
         commits = {side: unpack(getattr(args, side), trees[side]) for side in SIDES}
+        lines = {side: src_lines(trees[side]) for side in SIDES}
         runs, traced = [], []
         for workload in workloads:
             for pair, seed in enumerate(seeds):
@@ -193,6 +201,7 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload <w> --seed <seed> --trace 0 "
                    f"--seconds {seconds:g}",
         "parent_commit": commits["parent"], "change_commit": commits["change"],
+        "src_lines": {**lines, "shift": lines["change"] - lines["parent"]},
         "env": host_env(runs),
         "seeds": f"{seeds[0]}-{seeds[-1]} for every workload, parent first in even pairs",
         "summary": summarize(runs, better),

@@ -105,11 +105,6 @@ class CommChannel:
             object.__setattr__(self, "_factors", (a_r, a_t, gains))
         return self._factors
 
-    def matrix(self, m: int) -> np.ndarray:
-        """Materialize H_c[m] as an Nr x Nt matrix (small arrays / tests only)."""
-        a_r, a_t, gains = self.factors()
-        return (a_r * gains[:, m]) @ a_t.conj().T
-
 
 def sample_comm_channel(tx_geom: UpaGeometry, rx_geom: UpaGeometry, frame: FrameConfig,
                         rng: np.random.Generator, num_nlos: int = 4,
@@ -198,32 +193,6 @@ def check_isi_ici_free(scene: SensingScene, frame: FrameConfig,
                           f"against delta_f {frame.delta_f:.3e}Hz", ModelMismatchWarning)
             clean = False
     return clean
-
-
-def sensing_channel(scene: SensingScene, m: int, n: int, q: int, frame: FrameConfig,
-                    tx_geom: UpaGeometry, rx_geom: UpaGeometry,
-                    check_model: bool = True) -> np.ndarray:
-    """ISI/ICI-free sensing channel matrix H_s[m, n] at slot q (Nr x Nt).
-
-    H_s = sqrt(Nt*Nr/P) sum_p h_p e^{-j2pi m df tau_p} e^{j2pi((q-1)Ts + n To)nu_p}
-          a_r(theta_p) a_t^T(theta_p).
-    """
-    if check_model:
-        check_isi_ici_free(scene, frame)
-    h = np.zeros((rx_geom.n_elements, tx_geom.n_elements), dtype=complex)
-    if not scene.targets:
-        return h
-    scale = np.sqrt(tx_geom.n_elements * rx_geom.n_elements / scene.n_targets)
-    t_sym = (q - 1) * frame.t_slot + n * frame.t_total
-    for tgt in scene.targets:
-        if tgt.coeff is None:
-            raise ValueError("target coefficient unresolved; call resolve_coeffs first")
-        phase = np.exp(-2j * np.pi * m * frame.delta_f * tgt.delay()) \
-            * np.exp(2j * np.pi * t_sym * tgt.doppler(frame.fc))
-        a_r = steering_upa(tgt.azimuth, tgt.elevation, rx_geom)
-        a_t = steering_upa(tgt.azimuth, tgt.elevation, tx_geom)
-        h += scale * tgt.coeff * phase * np.outer(a_r, a_t)
-    return h
 
 
 def resolve_coeffs(scene: SensingScene, tx_gains: np.ndarray, nt: int,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from .channel import delay_of_range, range_of_delay
+from .channel import delay_of_range, doppler_of_velocity, range_of_delay
 from .geometry import UpaGeometry
 from .precoding import SwitchMatrix, default_switch_pattern
 from .waveform import FrameConfig
@@ -132,14 +132,14 @@ class BeamScanSpec:
     slots: list[int] = _field(lambda: [3, 4, 5, 6], nonempty=True, ge=1)
     eta: float = _field(0.5, **_ETA)
     n_closed: int = 16
-    angle_step_deg: float = _field(0.1, gt=0)
+    angle_step_deg: float = _field(0.1, ge=0.01)
 
 
 @dataclass
 class McRmseSpec:
     eta: float = _field(0.4, **_ETA)
     snr_grid_db: list[float] = _field(lambda: [-10.0, -5.0, 0.0], nonempty=True)
-    music_step_deg: float = _field(0.01, gt=0)
+    music_step_deg: float = _field(0.01, ge=0.001)
     n_closed: int = 4
     delta_f_khz: float = 3840.0
     angle_gate_deg: float = _field(1.0, gt=0)
@@ -279,7 +279,12 @@ def _validate(cfg: ExperimentConfig) -> list:
 
 
 def _range_problems(cfg: ExperimentConfig) -> list:
-    """ISI/ICI demo frames that cannot be built, or search ranges past their shortest slot."""
+    """ISI/ICI demo frames that cannot be built, or search boxes their frames cannot hold.
+
+    The range must fit in the shortest slot, and the Doppler bound of the
+    speed must stay below every subcarrier spacing, the domain of the ISI/ICI
+    model (isi_ici_rx warns at |nu| >= delta_f).
+    """
     problems = []
     for name, spec, spacings in (
             ("isi_demo", cfg.isi_demo, (cfg.isi_demo.delta_f_khz_control,
@@ -292,6 +297,11 @@ def _range_problems(cfg: ExperimentConfig) -> list:
                 problems.append(f"{name}: max_range_m {spec.max_range_m} beyond the "
                                 f"{range_of_delay(t_slot):.4g} m one slot reaches "
                                 f"at {df_khz} kHz")
+            nu_max = doppler_of_velocity(spec.max_speed_mps, cfg.frame.fc_ghz * 1e9)
+            if nu_max >= 1e3 * min(spacings):
+                problems.append(f"{name}: max_speed_mps {spec.max_speed_mps} gives Doppler "
+                                f"{nu_max / 1e3:.4g} kHz, not below the {min(spacings)} kHz "
+                                "subcarrier spacing")
         except ValueError as exc:
             problems.append(f"{name}: {exc}")
     return problems

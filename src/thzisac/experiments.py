@@ -321,9 +321,8 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
                                                switch=rx_switch)
             block = sensing_rx.simulate_rx(scene, pre, symbols, comb, frame, q,
                                            tx_geom, rx_geom, rng, check_model=False)
-            ests = sensing_rx.estimate_slot(block, comb, pre, symbols, frame, search,
-                                            len(targets), tx_geom, rx_geom,
-                                            grid_step_deg=spec.music_step_deg, grid=grid)
+            ests = sensing_rx.estimate_slot(block, comb, pre, symbols, frame, grid,
+                                            len(targets), tx_geom, rx_geom)
             nearest = _greedy_match(targets, ests, lambda t, e: abs(e[0] - t.azimuth))
             for tgt, match in zip(targets, nearest):
                 if match is None:

@@ -41,9 +41,6 @@ class AngularWindow:
         if not self.lo < self.hi:
             raise ValueError(f"empty angular window [{self.lo}, {self.hi}]")
 
-    def contains(self, theta: float) -> bool:
-        return self.lo <= theta <= self.hi
-
     def mirrored(self) -> "AngularWindow":
         """Window negated about broadside (the set -[lo, hi])."""
         return AngularWindow(-self.hi, -self.lo, self.slot_index)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import (SPEED_OF_LIGHT, ModelMismatchWarning, SensingScene, awgn,
                       range_of_delay, velocity_of_doppler)
-from .sensing_rx import (DelayDopplerEstimate, MlProfile, alternating_refine,
+from .sensing_rx import (DelayDopplerEstimate, MlProfile, alternating_refine, doppler_bin,
                          golden_section_max, gss_refine)
 from .waveform import FrameConfig
 
@@ -52,11 +52,6 @@ class ExtendedTxPair:
     def __post_init__(self):
         if self.x_prev.shape != self.x_curr.shape:
             raise ValueError("previous and current grids must share a shape")
-
-    @classmethod
-    def with_zero_predecessor(cls, x_curr: np.ndarray) -> "ExtendedTxPair":
-        """First slot of a frame: nothing was on the air before it."""
-        return cls(x_prev=np.zeros_like(x_curr), x_curr=x_curr)
 
 
 def _cp_stream(pair: ExtendedTxPair, frame: FrameConfig, frac: float, n_prev: int,
@@ -414,6 +409,17 @@ def successive_cancellation(y: np.ndarray, pair: ExtendedTxPair, frame: FrameCon
 # Interference-unaware reference estimator (Hadamard phase-ramp model)
 # ---------------------------------------------------------------------------
 
+def _unaware_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig, tau_max: float):
+    """The phase-ramp model's matched filter of y, and its 2D-DFT grid tiled over [0, tau_max].
+
+    Returns (MlProfile, grid) with the grid shaped (n_bins, N) in delay steps of T/M.
+    """
+    prof = MlProfile(y.reshape(frame.m_subcarriers, frame.n_symbols, order="F"), pair.x_curr,
+                     frame)
+    n_bins = int(np.floor(tau_max / (frame.t_symbol / frame.m_subcarriers))) + 1
+    return prof, np.tile(prof.grid(), (int(np.ceil(n_bins / frame.m_subcarriers)), 1))[:n_bins]
+
+
 def unaware_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
                           tau_max: float):
     """Matched-filter profile of the phase-ramp model, tiled past its ambiguity.
@@ -423,13 +429,8 @@ def unaware_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
     strong targets visible exactly where a plotted profile would show them.
     Returns (tau_bins, profile) with profile shaped (n_bins, N).
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    base = MlProfile(y.reshape(m_sc, n_sym, order="F"), pair.x_curr, frame).grid()
-    d_tau = frame.t_symbol / m_sc
-    n_bins = int(np.floor(tau_max / d_tau)) + 1
-    tiles = int(np.ceil(n_bins / m_sc))
-    ext = np.tile(base, (tiles, 1))[:n_bins]
-    return np.arange(n_bins) * d_tau, ext
+    ext = _unaware_profile(y, pair, frame, tau_max)[1]
+    return np.arange(ext.shape[0]) * (frame.t_symbol / frame.m_subcarriers), ext
 
 
 def hadamard_model_vec(x_curr: np.ndarray, tau: float, nu: float,
@@ -465,18 +466,13 @@ def unaware_estimate_peaks(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConf
     peaks are read off a plotted range profile. Ambiguity replicas of strong
     targets therefore survive as candidate detections.
     """
-    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
-    _, ext = unaware_range_profile(y, pair, frame, tau_max)
-    y_grid = y.reshape(m_sc, n_sym, order="F")
-    prof = MlProfile(y_grid, pair.x_curr, frame)
-    d_tau = frame.t_symbol / m_sc
+    prof, work = _unaware_profile(y, pair, frame, tau_max)
+    d_tau = frame.t_symbol / frame.m_subcarriers
     excl = max(1, int(round(exclusion_m / (SPEED_OF_LIGHT * d_tau / 2.0))))
-    work = ext.copy()
     results = []
     for _ in range(count):
         m0_ext, j = np.unravel_index(int(np.argmax(work)), work.shape)
-        n0 = j - n_sym if j >= (n_sym + 1) // 2 else j
-        est = gss_refine(prof, (int(m0_ext), int(n0)), frame)
+        est = gss_refine(prof, (int(m0_ext), int(doppler_bin(j, frame.n_symbols))), frame)
         results.append(est)
         work[max(0, m0_ext - excl):m0_ext + excl + 1, :] = 0.0
     return results

@@ -121,27 +121,15 @@ class PrecoderSet:
 # Reference precoders
 # ---------------------------------------------------------------------------
 
-def optimal_fully_digital(channel, ns: int):
+def optimal_fully_digital(channel: CommChannel, ns: int):
     """First ns right/left singular vectors of the channel per subcarrier.
 
-    ``channel`` is either a CommChannel (factored path, arbitrary array sizes)
-    or a sequence of dense Nr x Nt matrices. Returns (F, C, S): arrays of shape
-    (M, nt, ns), (M, nr, ns), (M, ns). On the factored path F is stored
-    subcarrier-minor, as PrecodingTargets keeps it, and built by one product.
+    Works on the channel's path factors, so any array size is fine. Returns
+    (F, C, S): arrays of shape (M, nt, ns), (M, nr, ns), (M, ns), with F
+    stored subcarrier-minor, as PrecodingTargets keeps it, and built by one
+    product.
     """
-    if isinstance(channel, CommChannel):
-        return _svd_factored(channel, ns)[:3]
-    mats = list(channel)
-    f_list, c_list, s_list = [], [], []
-    for h in mats:
-        u, s, vh = np.linalg.svd(h, full_matrices=True)
-        if min(h.shape) < ns or s[min(ns, s.size) - 1] <= s[0] * 1e-12:
-            warnings.warn("channel rank below stream count; zero singular values kept",
-                          ModelMismatchWarning)
-        f_list.append(vh[:ns].conj().T)
-        c_list.append(u[:, :ns])
-        s_list.append(np.pad(s[:ns], (0, max(0, ns - s.size))))
-    return np.stack(f_list), np.stack(c_list), np.stack(s_list)
+    return _svd_factored(channel, ns)[:3]
 
 
 def comm_design(channel: CommChannel, ns: int):
@@ -230,22 +218,12 @@ class CommTarget:
     energy: float       # sum_m ||F_c[m]||_F^2
 
     @classmethod
-    def factor(cls, comm_opt: np.ndarray, basis: np.ndarray = None) -> "CommTarget":
-        """Factor a dense (M, nt, ns) target in ``basis``, or in its own thin QR when None.
-
-        Raises ValueError when the basis is not orthonormal or does not span
-        the target, seen as coefficients that do not keep the target's energy.
-        """
+    def factor(cls, comm_opt: np.ndarray) -> "CommTarget":
+        """Factor a dense (M, nt, ns) target in its own thin QR."""
         m_count, nt, ns = comm_opt.shape
         flat = _subcarrier_minor(comm_opt).transpose(1, 0, 2).reshape(nt, m_count * ns)
-        if basis is None:
-            basis, coeffs = np.linalg.qr(flat)
-        else:
-            coeffs = basis.conj().T @ flat
-        energy = _frobenius_sq(flat)
-        if abs(_frobenius_sq(coeffs) - energy) > 1e-9 * energy:
-            raise ValueError("basis is not an orthonormal basis spanning the comm target")
-        return cls(basis, coeffs.reshape(-1, m_count, ns).transpose(1, 0, 2), energy)
+        basis, coeffs = np.linalg.qr(flat)
+        return cls(basis, coeffs.reshape(-1, m_count, ns).transpose(1, 0, 2), _frobenius_sq(flat))
 
 
 @dataclass
@@ -417,7 +395,7 @@ def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
 # SCA one-shot update
 # ---------------------------------------------------------------------------
 
-def sca_hybrid_precoding(comm_opt, codebook: SensingCodebook, q: int,
+def sca_hybrid_precoding(comm_opt: CommTarget, codebook: SensingCodebook, q: int,
                          eta: float, comm_analog: np.ndarray,
                          switch: SwitchMatrix) -> PrecoderSet:
     """Codebook-assisted update of a communication-only analog precoder.
@@ -425,11 +403,8 @@ def sca_hybrid_precoding(comm_opt, codebook: SensingCodebook, q: int,
     Replaces the ceil(N_c*(1-eta)) closed blocks whose phase profiles are
     closest to the slot-q scan column with the column's (unit-modulus) phases,
     then solves the digital precoders in closed form against the weighted
-    target. No per-slot alternating iterations. ``comm_opt`` is a CommTarget
-    or a dense stack, as in PrecodingTargets.
+    target. No per-slot alternating iterations.
     """
-    if not isinstance(comm_opt, CommTarget):
-        comm_opt = CommTarget.factor(comm_opt)
     sense_opt = optimal_sensing_precoder(codebook, q, comm_opt.coeffs.shape[2])
     targets = PrecodingTargets(comm_opt, sense_opt, eta)
     k_t = switch.k_t

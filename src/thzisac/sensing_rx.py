@@ -132,13 +132,14 @@ class MusicGrid:
     """An azimuth search grid with the Kronecker factors of its UPA responses.
 
     a_z is (l_count,) and a_y is (w_count, angles.size), as steering_factors
-    returns them. Neither depends on the observations, so one grid serves
-    every trial of a slot.
+    returns them at the grid's elevation. Neither depends on the observations,
+    so one grid serves every trial of a slot.
     """
 
     angles: np.ndarray
     a_z: np.ndarray
     a_y: np.ndarray
+    elevation: float
 
 
 def music_grid(search_window: AngularWindow, grid_step_deg: float, geom: UpaGeometry,
@@ -146,21 +147,19 @@ def music_grid(search_window: AngularWindow, grid_step_deg: float, geom: UpaGeom
     """The window's MUSIC grid, lo to hi inclusive in grid_step_deg steps, with its factors."""
     step = np.deg2rad(grid_step_deg)
     angles = np.arange(search_window.lo, search_window.hi + step / 2, step)
-    return MusicGrid(angles, *steering_factors(angles, elevation, geom))
+    return MusicGrid(angles, *steering_factors(angles, elevation, geom), elevation)
 
 
 def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
-                   angle_grid: np.ndarray, geom: UpaGeometry,
-                   elevation: float = np.pi / 2, grid: MusicGrid = None) -> MusicResult:
+                   grid: MusicGrid) -> MusicResult:
     """Subspace pseudo-spectrum against the combined manifold, peaks refined.
 
-    P(theta) = ||W^H a(theta)||^2 / ||U_n^H W^H a(theta)||^2, with U_n the
-    noise eigenvectors of the sample covariance of the stacked block. Peak
-    locations get a parabolic refinement on the noise-projection minimum.
-    W^H a(theta) is formed through the Kronecker factors a_z kron a_y(theta):
-    a_z is folded into the combiner once, leaving a (n_rf, W) by (W, grid)
-    product. grid, when given, holds those factors for angle_grid at this
-    elevation and geometry (music_grid); otherwise they are built here.
+    P(theta) = ||W^H a(theta)||^2 / ||U_n^H W^H a(theta)||^2 over grid.angles,
+    with U_n the noise eigenvectors of the sample covariance of the stacked
+    block. Peak locations get a parabolic refinement on the noise-projection
+    minimum. W^H a(theta) is formed through the grid's Kronecker factors
+    a_z kron a_y(theta): a_z is folded into the combiner once, leaving a
+    (n_rf, W) by (W, grid) product.
     """
     if p_q >= block.n_rf:
         raise ValueError(f"p_q={p_q} leaves no noise subspace with {block.n_rf} chains")
@@ -171,22 +170,15 @@ def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
     evals, evecs = evals[order], evecs[:, order]
     u_n = evecs[:, p_q:]
 
-    angle_grid = np.asarray(angle_grid, dtype=float)
-    if grid is None:
-        a_z, a_y = steering_factors(angle_grid, elevation, geom)
-    elif grid.a_y.shape != (geom.w_count, angle_grid.size):
-        raise ValueError(f"grid factors of shape {grid.a_y.shape} do not fit "
-                         f"{angle_grid.size} angles on {geom.w_count} columns")
-    else:
-        a_z, a_y = grid.a_z, grid.a_y
-    w_y = np.tensordot(a_z, combiner.matrix.conj().reshape(geom.l_count, geom.w_count, -1), 1)
-    t = w_y.T @ a_y
+    w_count = grid.a_y.shape[0]
+    w_y = np.tensordot(grid.a_z, combiner.matrix.conj().reshape(grid.a_z.size, w_count, -1), 1)
+    t = w_y.T @ grid.a_y
     num = np.sum(np.abs(t) ** 2, axis=0)
     den = np.sum(np.abs(u_n.conj().T @ t) ** 2, axis=0)
     spectrum = num / np.maximum(den, 1e-300)
 
-    peak_angles = _pick_peaks(angle_grid, spectrum, den, p_q)
-    return MusicResult(angles=angle_grid, spectrum=spectrum, peak_angles=peak_angles,
+    peak_angles = _pick_peaks(grid.angles, spectrum, den, p_q)
+    return MusicResult(angles=grid.angles, spectrum=spectrum, peak_angles=peak_angles,
                        signal_dim=p_q, noise_dim=block.n_rf - p_q, eigenvalues=evals)
 
 
@@ -259,8 +251,6 @@ class MlProfile:
         if xhat_blocks.ndim == 2:
             xhat_blocks = xhat_blocks[None]
         self.z = np.sum(np.conj(xhat_blocks) * y_blocks, axis=0)
-        self.frame = frame
-        self.template_energy = float(np.sum(np.abs(xhat_blocks) ** 2))
         # per-probe phase rates, so a probe only scales them by tau and nu
         self._tau_rate = 2j * np.pi * np.arange(self.z.shape[0]) * frame.delta_f
         self._nu_rate = -2j * np.pi * np.arange(self.z.shape[1]) * frame.t_total
@@ -280,26 +270,21 @@ class MlProfile:
         return m_sc * n_sym * np.abs(g) ** 2
 
 
-def ml_profile(y_blocks: np.ndarray, xhat_blocks: np.ndarray, tau: float, nu: float,
-               frame: FrameConfig) -> float:
-    """One-point evaluation of the matched-filter delay-Doppler objective."""
-    return MlProfile(y_blocks, xhat_blocks, frame)(tau, nu)
+def doppler_bin(j: int, n_sym: int) -> int:
+    """Signed Doppler index n0 in [-N/2, N/2) of column j of an N-point 2D-DFT grid."""
+    return j - n_sym if j >= (n_sym + 1) // 2 else j
 
 
-def sdft_coarse(y_blocks: np.ndarray, xhat_blocks: np.ndarray, frame: FrameConfig):
+def sdft_coarse(profile: MlProfile):
     """On-grid maximization of the objective via summed 2D DFTs.
 
     The grid is tau = m0/(M*delta_f), nu = n0/(N*T_o) with m0 in [0, M) and
-    n0 in [-N/2, N/2). Returns ((m0, n0), profile) where profile[m0, j] equals
-    the direct objective at Doppler index j folded mod N, scaled to match
-    ml_profile exactly.
+    n0 in [-N/2, N/2). Returns ((m0, n0), grid) where grid = profile.grid()
+    and grid[m0, j] equals profile at Doppler index j folded mod N.
     """
-    profile = MlProfile(y_blocks, xhat_blocks, frame).grid()
-    n_sym = profile.shape[1]
-    flat = int(np.argmax(profile))
-    m0, j = divmod(flat, n_sym)
-    n0 = j - n_sym if j >= (n_sym + 1) // 2 else j
-    return (m0, n0), profile
+    grid = profile.grid()
+    m0, j = divmod(int(np.argmax(grid)), grid.shape[1])
+    return (m0, doppler_bin(j, grid.shape[1])), grid
 
 
 def golden_section_max(fun, lo: float, hi: float, iters: int = 40,
@@ -409,25 +394,21 @@ def gss_refine(profile, coarse_bin: tuple, frame: FrameConfig, rounds: int = 3,
 
 def estimate_slot(block: ObservationBlock, combiner: ReceiveCombiner,
                   precoders: PrecoderSet, symbols: np.ndarray, frame: FrameConfig,
-                  search_window: AngularWindow, p_q: int, tx_geom: UpaGeometry,
-                  rx_geom: UpaGeometry, grid_step_deg: float = 0.01,
-                  elevation: float = np.pi / 2, grid: MusicGrid = None) -> list:
-    """Full per-slot pipeline: angles by MUSIC, then delay-Doppler per angle.
+                  grid: MusicGrid, p_q: int, tx_geom: UpaGeometry,
+                  rx_geom: UpaGeometry) -> list:
+    """Full per-slot pipeline: angles by MUSIC on grid, then delay-Doppler per angle.
 
-    grid is music_grid(search_window, grid_step_deg, rx_geom, elevation),
-    built here when not given. Returns a list of (theta_hat,
-    DelayDopplerEstimate), one entry per assumed target in the slot's search
-    window.
+    Each angle's matched-filter profile is built once and serves both the
+    coarse grid and the refinement. Returns a list of (theta_hat,
+    DelayDopplerEstimate), one entry per assumed target in the slot's
+    search window.
     """
-    if grid is None:
-        grid = music_grid(search_window, grid_step_deg, rx_geom, elevation)
-    music = music_spectrum(block, combiner, p_q, grid.angles, rx_geom, elevation, grid=grid)
+    music = music_spectrum(block, combiner, p_q, grid)
     results = []
     for theta in music.peak_angles:
-        xhat = reconstruct_reference(theta, elevation, combiner, precoders, symbols,
+        xhat = reconstruct_reference(theta, grid.elevation, combiner, precoders, symbols,
                                      tx_geom, rx_geom)
-        prof = MlProfile(block.y, xhat, frame)
-        coarse, _ = sdft_coarse(block.y, xhat, frame)
-        est = gss_refine(prof, coarse, frame)
-        results.append((float(theta), est))
+        profile = MlProfile(block.y, xhat, frame)
+        coarse, _ = sdft_coarse(profile)
+        results.append((float(theta), gss_refine(profile, coarse, frame)))
     return results

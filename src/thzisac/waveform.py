@@ -1,4 +1,4 @@
-"""OFDM frame timing, symbol generation, precoding application, and CP modulation.
+"""OFDM frame timing, symbol generation, and CP modulation.
 
 All DFTs are unitary (1/sqrt(M) both ways) so Parseval holds exactly and the
 modulate/demodulate pair is an exact inverse.
@@ -55,11 +55,6 @@ class FrameConfig:
         """Slot duration T_s = N * T_o."""
         return self.n_symbols * self.t_total
 
-    @property
-    def t_frame(self) -> float:
-        """Frame duration T_f = Q * T_s."""
-        return self.q_slots * self.t_slot
-
 
 def generate_symbols(cfg: FrameConfig, ns: int, rng: np.random.Generator) -> np.ndarray:
     """I.i.d. QPSK data symbols, shape (ns, M, N), per-entry power 1/ns.
@@ -69,21 +64,6 @@ def generate_symbols(cfg: FrameConfig, ns: int, rng: np.random.Generator) -> np.
     shape = (ns, cfg.m_subcarriers, cfg.n_symbols)
     bits = rng.integers(0, 2, size=(2,) + shape)
     return ((2 * bits[0] - 1) + 1j * (2 * bits[1] - 1)) / np.sqrt(2.0 * ns)
-
-
-def precode_frequency(symbols: np.ndarray, f_rf: np.ndarray, f_bb: np.ndarray) -> np.ndarray:
-    """Per-antenna frequency grid: X[:, m, n] = F_RF @ F_BB[m] @ s[:, m, n].
-
-    symbols is (ns, M, N), f_rf is (nt, n_rf), f_bb is (M, n_rf, ns);
-    returns (nt, M, N).
-    """
-    ns, m_sc, n_sym = symbols.shape
-    if f_bb.shape[0] != m_sc or f_bb.shape[2] != ns or f_rf.shape[1] != f_bb.shape[1]:
-        raise ValueError(f"dimension mismatch: symbols {symbols.shape}, "
-                         f"f_rf {f_rf.shape}, f_bb {f_bb.shape}")
-    # (M, n_rf, N) then (nt, M, N)
-    z = np.einsum("mrs,smn->mrn", f_bb, symbols)
-    return np.einsum("tr,mrn->tmn", f_rf, z)
 
 
 def ofdm_modulate(grid: np.ndarray, cfg: FrameConfig) -> np.ndarray:

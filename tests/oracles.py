@@ -5,8 +5,12 @@ continuous-time sampling, dense matrix builds) so it shares no code path with
 the library implementations it checks.
 """
 
+import warnings
+
 import numpy as np
 
+from thzisac.channel import ModelMismatchWarning, check_isi_ici_free
+from thzisac.geometry import steering_upa
 from thzisac.isi_ici import apply_channel_operator
 from thzisac.waveform import FrameConfig
 
@@ -84,6 +88,36 @@ def matched_objective(y, pair, frame):
     return fun
 
 
+def comm_channel_matrix(chan, m):
+    """H_c[m] of a CommChannel materialized as an Nr x Nt matrix."""
+    a_r, a_t, gains = chan.factors()
+    return (a_r * gains[:, m]) @ a_t.conj().T
+
+
+def sensing_channel(scene, m, n, q, frame, tx_geom, rx_geom, check_model=True):
+    """ISI/ICI-free sensing channel matrix H_s[m, n] at slot q (Nr x Nt).
+
+    H_s = sqrt(Nt*Nr/P) sum_p h_p e^{-j2pi m df tau_p} e^{j2pi((q-1)Ts + n To)nu_p}
+          a_r(theta_p) a_t^T(theta_p).
+    """
+    if check_model:
+        check_isi_ici_free(scene, frame)
+    h = np.zeros((rx_geom.n_elements, tx_geom.n_elements), dtype=complex)
+    if not scene.targets:
+        return h
+    scale = np.sqrt(tx_geom.n_elements * rx_geom.n_elements / scene.n_targets)
+    t_sym = (q - 1) * frame.t_slot + n * frame.t_total
+    for tgt in scene.targets:
+        if tgt.coeff is None:
+            raise ValueError("target coefficient unresolved; call resolve_coeffs first")
+        phase = np.exp(-2j * np.pi * m * frame.delta_f * tgt.delay()) \
+            * np.exp(2j * np.pi * t_sym * tgt.doppler(frame.fc))
+        a_r = steering_upa(tgt.azimuth, tgt.elevation, rx_geom)
+        a_t = steering_upa(tgt.azimuth, tgt.elevation, tx_geom)
+        h += scale * tgt.coeff * phase * np.outer(a_r, a_t)
+    return h
+
+
 def comm_channel_apply(chan, m, f):
     """H_c[m] @ f from the channel's path factors, without forming H_c[m]."""
     a_r, a_t, gains = chan.factors()
@@ -138,6 +172,24 @@ def random_semi_unitary(rows, cols, rng):
 # ---------------------------------------------------------------------------
 # Hybrid precoding: dense textbook definitions, one subcarrier at a time
 # ---------------------------------------------------------------------------
+
+def optimal_fully_digital_dense(mats, ns):
+    """(F, C, S) from a full SVD of each dense Nr x Nt matrix in turn.
+
+    Shapes (M, nt, ns), (M, nr, ns), (M, ns); singular values past the rank
+    are zero, with one ModelMismatchWarning per rank-deficient matrix.
+    """
+    f_list, c_list, s_list = [], [], []
+    for h in mats:
+        u, s, vh = np.linalg.svd(h, full_matrices=True)
+        if min(h.shape) < ns or s[min(ns, s.size) - 1] <= s[0] * 1e-12:
+            warnings.warn("channel rank below stream count; zero singular values kept",
+                          ModelMismatchWarning)
+        f_list.append(vh[:ns].conj().T)
+        c_list.append(u[:, :ns])
+        s_list.append(np.pad(s[:ns], (0, max(0, ns - s.size))))
+    return np.stack(f_list), np.stack(c_list), np.stack(s_list)
+
 
 def weighted_objective_dense(comm_opt, sense_opt, eta, f_rf, f_bb):
     """(1/M) sum_m eta||F_c[m] - F_RF F_BB[m]||^2 + (1-eta)||F_s - F_RF F_BB[m]||^2."""
@@ -197,7 +249,7 @@ def spectral_efficiency_dense(channel, tx, rx, rho, sigma2):
     rates = []
     for m in range(tx.shape[0]):
         c = rx[m][:, np.linalg.norm(rx[m], axis=0) > 0]
-        eff = c.conj().T @ channel.matrix(m) @ tx[m]
+        eff = c.conj().T @ comm_channel_matrix(channel, m) @ tx[m]
         r_n = sigma2 * c.conj().T @ c
         mat = np.eye(c.shape[1]) + rho / ns * np.linalg.solve(r_n, eff @ eff.conj().T)
         rates.append(np.log2(np.linalg.det(mat).real))

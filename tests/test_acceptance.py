@@ -12,11 +12,11 @@ from thzisac.channel import sample_comm_channel
 from thzisac.config import ExperimentConfig, child_rng
 from thzisac.geometry import UpaGeometry, dft_codebook
 from thzisac.isi_ici import ExtendedTxPair, apply_channel_operator, cp_limited_range
-from thzisac.precoding import (PrecodingTargets, default_switch_pattern,
-                               optimal_fully_digital, optimal_sensing_precoder,
+from thzisac.precoding import (PrecodingTargets, comm_design, default_switch_pattern,
+                               optimal_sensing_precoder,
                                sensing_gain_dbi, spectral_efficiency,
                                transmit_beampattern, vec_hybrid_precoding)
-from thzisac.sensing_rx import sdft_coarse
+from thzisac.sensing_rx import MlProfile, sdft_coarse
 from thzisac.waveform import FrameConfig
 
 from oracles import bruteforce_rx, ml_profile_direct_node
@@ -110,7 +110,7 @@ def test_criterion_5_sdft_equals_bruteforce():
     for _ in range(20):
         y = rng.standard_normal((4, 64, 16)) + 1j * rng.standard_normal((4, 64, 16))
         xh = rng.standard_normal((4, 64, 16)) + 1j * rng.standard_normal((4, 64, 16))
-        _, profile = sdft_coarse(y, xh, frame)
+        _, profile = sdft_coarse(MlProfile(y, xh, frame))
         for m0 in range(64):
             for j in range(16):
                 n0 = j - 16 if j >= 8 else j
@@ -147,8 +147,7 @@ def _fc_setup(seed, realizations):
     for r in range(realizations):
         rng = child_rng(seed, "tradeoff", 100 + r)
         chan = sample_comm_channel(geom, geom, frame, rng)
-        comm_opt, comb_opt, _ = optimal_fully_digital(chan, 4)
-        out.append((chan, comm_opt, comb_opt))
+        out.append((chan, *comm_design(chan, 4)))
     return geom, frame, cb, q, switch, out
 
 
@@ -157,9 +156,9 @@ def test_criterion_7_precoding_near_optimality():
     rho = 10.0 ** (-20 / 10.0)
     sense = optimal_sensing_precoder(cb, q, 4)
     se_dig, se_vec = [], []
-    for r, (chan, comm_opt, comb_opt) in enumerate(setups):
+    for r, (chan, comm_opt, comb_opt, comm) in enumerate(setups):
         se_dig.append(spectral_efficiency(chan, comm_opt, comb_opt, rho, 1.0))
-        pre = vec_hybrid_precoding(PrecodingTargets(comm_opt, sense, 1.0), switch,
+        pre = vec_hybrid_precoding(PrecodingTargets(comm, sense, 1.0), switch,
                                    rng=child_rng(SEED, "tradeoff", 200 + r))
         se_vec.append(spectral_efficiency(chan, pre.tx_matrices(), comb_opt, rho, 1.0))
     ratio = np.mean(se_vec) / np.mean(se_dig)
@@ -181,9 +180,9 @@ def test_criterion_8_tradeoff_endpoints_and_monotonicity():
     pure_gain = transmit_beampattern(
         np.eye(geom.n_elements), np.repeat(sense[None], 64, axis=0),
         np.array([cb.direction_angles[q - 1]]), geom)[0]
-    for r, (chan, comm_opt, comb_opt) in enumerate(setups):
+    for r, (chan, _, comb_opt, comm) in enumerate(setups):
         for i, eta in enumerate(etas):
-            pre = vec_hybrid_precoding(PrecodingTargets(comm_opt, sense, eta), switch,
+            pre = vec_hybrid_precoding(PrecodingTargets(comm, sense, eta), switch,
                                        rng=child_rng(SEED, "tradeoff", 300 + r, i))
             gains[i] += sensing_gain_dbi(pre, cb, q, geom) / len(setups)
             ses[i] += spectral_efficiency(chan, pre.tx_matrices(), comb_opt,

@@ -92,3 +92,23 @@ def test_main_traces_each_side_once_per_workload(monkeypatch, tmp_path):
     report = json.loads(out.read_text())
     assert report["layers"]["w"]["x.s"]["shift"] == -0.25
     assert report["summary"]["w"]["trials_per_s"]["change_over_parent_median"] == 2.0
+
+
+def test_main_records_each_side_source_lines(monkeypatch, tmp_path):
+    def fake_unpack(rev, dest):
+        package = dest / "src" / "thzisac"
+        package.mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\n" * (10 if rev == "p" else 7))
+        (package / "b.py").write_text("y = 2\nz = 3")  # wc -l counts the one newline
+        (package / "notes.txt").write_text("\n" * 50)
+        return rev
+
+    monkeypatch.setattr(bench_pairs, "unpack", fake_unpack)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds, trace=0:
+                        _run(tree.name, 0, 1.0, 50.0))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "7", "1",
+                             "--workloads", "w", "--out", str(out),
+                             "--work-dir", str(tmp_path)]) == 0
+    report = json.loads(out.read_text())
+    assert report["src_lines"] == {"parent": 11, "change": 8, "shift": -3}

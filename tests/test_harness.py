@@ -56,9 +56,9 @@ def test_validation_errors():
         config_from_dict({"beam_scan": {"slots": [3, 0]}})
     with pytest.raises(ConfigError, match=r"beam_scan: slots \[33\] beyond arrays.w_tx = 32"):
         config_from_dict({"beam_scan": {"slots": [3, 33]}})
-    with pytest.raises(ConfigError, match="angle_step_deg must be > 0"):
+    with pytest.raises(ConfigError, match="angle_step_deg must be >= 0.01, got 0"):
         config_from_dict({"beam_scan": {"angle_step_deg": 0}})
-    with pytest.raises(ConfigError, match="music_step_deg must be > 0"):
+    with pytest.raises(ConfigError, match="music_step_deg must be >= 0.001, got 0"):
         config_from_dict({"mc_rmse": {"music_step_deg": 0}})
     with pytest.raises(ConfigError, match="frame.cp_fraction must be <= 1, got 2"):
         config_from_dict({"frame": {"cp_fraction": 2}})
@@ -72,6 +72,9 @@ def test_validation_errors():
     with pytest.raises(ConfigError, match="isi_demo: range must be >= 0"):
         config_from_dict({"isi_demo": {"max_range_m": -1}})
     config_from_dict({"isi_demo": {"max_range_m": 780}, "ici_demo": {"max_range_m": 24900}})
+    # the floors themselves, and a Doppler bound just below the spacing, are accepted
+    config_from_dict({"beam_scan": {"angle_step_deg": 0.01}, "mc_rmse": {"music_step_deg": 0.001},
+                      "ici_demo": {"max_speed_mps": 59.9}})
     # inputs the runners would otherwise trip over partway through a run
     for data, message in (
             ({"scene": {"noise_power": -1}}, "scene.noise_power must be > 0, got -1"),
@@ -110,7 +113,23 @@ def test_validation_errors():
             ({"arrays": {"n_rf_tx": 3, "n_streams": 3}},
              "arrays: transmit elements not divisible by n_rf_tx"),
             ({"arrays": {"n_rf_rx": 3, "n_closed_rx": 4}},
-             "arrays: receive elements not divisible by n_rf_rx")):
+             "arrays: receive elements not divisible by n_rf_rx"),
+            # steps whose grids would not fit in memory (1e-9 deg: 1.8e11 angles)
+            ({"beam_scan": {"angle_step_deg": 1e-9}},
+             "beam_scan.angle_step_deg must be >= 0.01, got 1e-09"),
+            ({"mc_rmse": {"music_step_deg": 1e-9}},
+             "mc_rmse.music_step_deg must be >= 0.001, got 1e-09"),
+            # the demos' Doppler bound must stay below every subcarrier spacing
+            ({"ici_demo": {"delta_f_khz": 0.5}},
+             "ici_demo: max_speed_mps 55.0 gives Doppler 110.1 kHz, not below the 0.5 kHz"),
+            ({"ici_demo": {"max_speed_mps": 60}},
+             "ici_demo: max_speed_mps 60 gives Doppler 120.1 kHz, not below the 120.0 kHz"),
+            ({"isi_demo": {"delta_f_khz_control": 0.5}},
+             "isi_demo: max_speed_mps 30.0 gives Doppler 60.04 kHz, not below the 0.5 kHz"),
+            ({"isi_demo": {"delta_f_khz_isi": 50, "max_range_m": 10}},
+             "isi_demo: max_speed_mps 30.0 gives Doppler 60.04 kHz, not below the 50 kHz"),
+            ({"frame": {"fc_ghz": 400}},
+             "ici_demo: max_speed_mps 55.0 gives Doppler 146.8 kHz, not below the 120.0 kHz")):
         with pytest.raises(ConfigError, match=message):
             config_from_dict(data)
     # every numeric field and list entry is checked against its declared type

@@ -220,7 +220,7 @@ def test_line_objectives_match_matched_objective(rng, shape):
 
 
 def test_line_objectives_zero_without_transmit_energy(frame, rng):
-    pair = ExtendedTxPair.with_zero_predecessor(np.zeros((32, 8), complex))
+    pair = ExtendedTxPair(np.zeros((32, 8), complex), np.zeros((32, 8), complex))
     y_t = isi_ici._rx_samples(rng.standard_normal(32 * 8) + 0j, frame)
     assert isi_ici._delay_line(y_t, 0.1 * frame.delta_f, pair, frame)(0.3 * frame.t_total) == 0.0
     assert isi_ici._doppler_line(y_t, 0.3 * frame.t_total, pair, frame)(1e3) == 0.0
@@ -232,7 +232,7 @@ def test_coarse_scan_oracle_one_doppler_node_up_to_slot_end(frame, rng, predeces
     # samples), against a single Doppler node
     pair = _random_pair(frame, rng)
     if predecessor == "zero":
-        pair = ExtendedTxPair.with_zero_predecessor(pair.x_curr)
+        pair = ExtendedTxPair(np.zeros_like(pair.x_curr), pair.x_curr)
     y = 0.7 * apply_channel_operator(frame.t_cp + 0.4 * frame.t_symbol, 0.0, pair, frame)
     y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
     _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, nu_max=0.0)

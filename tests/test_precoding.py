@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from thzisac.channel import ModelMismatchWarning, sample_comm_channel
+from thzisac.channel import CommChannel, CommPath, ModelMismatchWarning, sample_comm_channel
 from thzisac.geometry import UpaGeometry, dft_codebook
 from thzisac.precoding import (CommTarget, PrecodingTargets, SwitchMatrix,
                                combined_receiver, comm_design, default_switch_pattern,
@@ -17,9 +17,9 @@ from thzisac.precoding import (CommTarget, PrecodingTargets, SwitchMatrix,
                                weighted_objective)
 from thzisac.waveform import FrameConfig
 
-from oracles import (normalized_lstsq_dense, phase_update_dense, procrustes_dense,
-                     random_semi_unitary, spectral_efficiency_dense,
-                     weighted_objective_dense)
+from oracles import (comm_channel_matrix, normalized_lstsq_dense, optimal_fully_digital_dense,
+                     phase_update_dense, procrustes_dense, random_semi_unitary,
+                     spectral_efficiency_dense, weighted_objective_dense)
 
 
 @pytest.fixture
@@ -68,40 +68,68 @@ def test_switch_expand():
 # fully digital reference
 # ---------------------------------------------------------------------------
 
+def _paths_channel(tx_geom, rx_geom, gain, angles):
+    """A CommChannel of one path per (aod, aoa) azimuth pair, each with the scalar gain."""
+    return CommChannel(paths=[CommPath(np.array([gain]), (aoa, np.pi / 2), (aod, np.pi / 2),
+                                       is_los=k == 0)
+                              for k, (aod, aoa) in enumerate(angles)],
+                       tx_geom=tx_geom, rx_geom=rx_geom)
+
+
 def test_svd_identity_channel():
-    f, c, s = optimal_fully_digital([np.eye(4)], 2)
+    # four paths along the orthogonal DFT directions of a 4 x 1 array on both
+    # sides, gamma = 2: H = 2 * 0.5 * sum_k a_k a_k^H = I
+    geom = UpaGeometry(4, 1)
+    angles = dft_codebook(geom).direction_angles
+    chan = _paths_channel(geom, geom, 0.5, zip(angles, angles))
+    np.testing.assert_allclose(comm_channel_matrix(chan, 0), np.eye(4), atol=1e-12)
+    f, c, s = optimal_fully_digital(chan, 2)
     np.testing.assert_allclose(f[0].conj().T @ f[0], np.eye(2), atol=1e-12)
     np.testing.assert_allclose(c[0].conj().T @ c[0], np.eye(2), atol=1e-12)
-    np.testing.assert_allclose(np.abs(f[0]).sum(axis=0), 1.0, atol=1e-12)
     np.testing.assert_allclose(s[0], 1.0)
+    np.testing.assert_allclose(s, optimal_fully_digital_dense([np.eye(4)], 2)[2], atol=1e-12)
 
 
-def test_svd_rank_one_channel(rng):
+def test_svd_rank_one_channel():
     from thzisac.geometry import steering_upa
-    tx = UpaGeometry(8, 1)
+    tx, rx = UpaGeometry(8, 1), UpaGeometry(4, 1)
+    chan = _paths_channel(tx, rx, 3.0 / np.sqrt(32), [(0.3, -0.2)])  # H = 3 a_r a_t^H
     a_t = steering_upa(0.3, np.pi / 2, tx)
-    a_r = steering_upa(-0.2, np.pi / 2, UpaGeometry(4, 1))
-    h = 3.0 * np.outer(a_r, a_t.conj())
-    f, c, s = optimal_fully_digital([h], 1)
+    h = comm_channel_matrix(chan, 0)
+    np.testing.assert_allclose(h, 3.0 * np.outer(steering_upa(-0.2, np.pi / 2, rx), a_t.conj()),
+                               atol=1e-12)
+    f, c, s = optimal_fully_digital(chan, 1)
     # leading right-singular vector collinear with a_t (up to phase)
     corr = np.abs(np.vdot(f[0][:, 0], a_t))
     assert corr > 1 - 1e-10
     assert np.isclose(s[0][0], 3.0)
     assert np.isclose(np.linalg.norm(h @ f[0][:, 0]), s[0][0])
+    # one path, two streams: both paths warn and keep a zero singular value,
+    # and the padded precoder stays orthonormal
+    with pytest.warns(ModelMismatchWarning, match="rank below stream count"):
+        f, c, s = optimal_fully_digital(chan, 2)
+    with pytest.warns(ModelMismatchWarning, match="rank below stream count"):
+        s_dense = optimal_fully_digital_dense([h], 2)[2]
+    np.testing.assert_allclose(s, s_dense, atol=1e-12)
+    assert s[0][1] == 0.0
+    np.testing.assert_allclose(f[0].conj().T @ f[0], np.eye(2), atol=1e-12)
 
 
-def test_svd_singular_value_consistency(rng):
-    h = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
-    f, c, s = optimal_fully_digital([h], 3)
-    for k in range(3):
-        assert np.isclose(np.linalg.norm(h @ f[0][:, k]), s[0][k])
+def test_svd_singular_value_consistency(small_setup):
+    geom, frame, chan = small_setup
+    f, c, s = optimal_fully_digital(chan, 3)
+    for m in range(8):
+        h = comm_channel_matrix(chan, m)
+        for k in range(3):
+            assert np.isclose(np.linalg.norm(h @ f[m][:, k]), s[m][k])
+            assert np.isclose(np.linalg.norm(h.conj().T @ c[m][:, k]), s[m][k])
 
 
 def test_svd_factored_matches_dense(small_setup):
     geom, frame, chan = small_setup
     f_f, c_f, s_f = optimal_fully_digital(chan, 4)
-    mats = [chan.matrix(m) for m in range(8)]
-    f_d, c_d, s_d = optimal_fully_digital(mats, 4)
+    mats = [comm_channel_matrix(chan, m) for m in range(8)]
+    f_d, c_d, s_d = optimal_fully_digital_dense(mats, 4)
     np.testing.assert_allclose(s_f, s_d, atol=1e-8)
     for m in range(8):
         # compare subspaces (columns defined up to phase): projector equality
@@ -274,9 +302,9 @@ def test_sca_eta_endpoints(rng):
     sw = default_switch_pattern(4, 8, 8)
     mask = sw.expand()
     comm_analog = np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)
-    s1 = sca_hybrid_precoding(comm, cb, 3, 1.0, comm_analog, sw)
+    s1 = sca_hybrid_precoding(CommTarget.factor(comm), cb, 3, 1.0, comm_analog, sw)
     np.testing.assert_array_equal(s1.analog, comm_analog)
-    s0 = sca_hybrid_precoding(comm, cb, 3, 0.0, comm_analog, sw)
+    s0 = sca_hybrid_precoding(CommTarget.factor(comm), cb, 3, 0.0, comm_analog, sw)
     scan = cb.columns[:, 2]
     phases = scan / np.abs(scan)
     for i in range(4):
@@ -297,7 +325,7 @@ def test_sca_tie_break_lowest_indices(rng):
     sw = SwitchMatrix(closed=np.ones((2, 2), dtype=bool), k_t=2)
     comm_analog = np.ones((4, 2), dtype=complex)
     comm = np.repeat(np.eye(4, 2, dtype=complex)[None], 2, axis=0)
-    out = sca_hybrid_precoding(comm, cb, 1, 0.5, comm_analog, sw)  # K_s = 2
+    out = sca_hybrid_precoding(CommTarget.factor(comm), cb, 1, 0.5, comm_analog, sw)  # K_s = 2
     changed = [(i, j) for i in range(2) for j in range(2)
                if not np.allclose(out.analog[2 * i:2 * (i + 1), j],
                                   comm_analog[2 * i:2 * (i + 1), j])]
@@ -314,7 +342,7 @@ def test_sca_tie_break_ignores_round_off():
     comm_analog = np.ones((4, 2), dtype=complex)
     comm_analog[2:, :] += 1e-15 * (scan[2:, None] - 1)
     comm = np.repeat(np.eye(4, 2, dtype=complex)[None], 2, axis=0)
-    out = sca_hybrid_precoding(comm, cb, 1, 0.5, comm_analog, sw)
+    out = sca_hybrid_precoding(CommTarget.factor(comm), cb, 1, 0.5, comm_analog, sw)
     changed = [(i, j) for i in range(2) for j in range(2)
                if not np.allclose(out.analog[2 * i:2 * (i + 1), j],
                                   comm_analog[2 * i:2 * (i + 1), j])]
@@ -331,7 +359,7 @@ def test_sca_faster_than_vec(rng):
     pre = vec_hybrid_precoding(PrecodingTargets(comm, sense, 0.5), sw, rng=rng)
     t_vec = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sca_hybrid_precoding(comm, cb, 2, 0.5, pre.analog, sw)
+    sca_hybrid_precoding(CommTarget.factor(comm), cb, 2, 0.5, pre.analog, sw)
     t_sca = time.perf_counter() - t0
     assert t_sca < t_vec  # no per-slot alternating iterations
 
@@ -481,7 +509,7 @@ def test_least_squares_steps_match_dense(eta, structure, rng):
                 normalized_lstsq_dense(f_rf, [eta * c + (1 - eta) * sense for c in comm]))
     # SCA by (sqrt(eta), sqrt(1-eta)), against its codebook scan column
     cb = dft_codebook(UpaGeometry(4, 3))
-    pre = sca_hybrid_precoding(comm, cb, 2, eta, f_rf, sw)
+    pre = sca_hybrid_precoding(targets.comm, cb, 2, eta, f_rf, sw)
     scan = optimal_sensing_precoder(cb, 2, 3)
     want = normalized_lstsq_dense(
         pre.analog, [np.sqrt(eta) * c + np.sqrt(1 - eta) * scan for c in comm])
@@ -514,17 +542,18 @@ def _basis_case(rng, kind, eta, n_rf=4, k_t=3, ns=3, m_count=5):
     """
     sw = default_switch_pattern(n_rf, n_rf * n_rf, k_t)
     if kind == "qr":
-        basis = None
         comm = np.stack([random_semi_unitary(sw.n_t, ns, rng) for _ in range(m_count)])
+        target = CommTarget.factor(comm)
     else:
         p = int(kind.rpartition("-p")[2])
         geom = UpaGeometry(4, 3)
         chan = sample_comm_channel(geom, geom, FrameConfig(m_count, 4, 8, 1.92e6, 0.3e12),
                                    rng, num_nlos=p - 1)
         basis = np.linalg.qr(chan.factors()[1])[0]
-        comm = basis @ _random_digital(rng, m_count, p, ns)
-    targets = PrecodingTargets(CommTarget.factor(comm, basis),
-                               random_semi_unitary(sw.n_t, ns, rng), eta)
+        coeffs = _random_digital(rng, m_count, p, ns)
+        comm = basis @ coeffs
+        target = CommTarget(basis, coeffs, float(np.linalg.norm(comm) ** 2))
+    targets = PrecodingTargets(target, random_semi_unitary(sw.n_t, ns, rng), eta)
     mask = sw.expand()
     f_rf = np.where(mask, np.exp(2j * np.pi * rng.random(mask.shape)), 0)
     return targets, sw, f_rf, comm
@@ -555,24 +584,6 @@ def test_factored_kernels_match_dense(kind, eta, rng):
         pre.analog, [np.sqrt(eta) * c + np.sqrt(1 - eta) * scan for c in comm]))
 
 
-def test_comm_target_rejects_a_basis_that_does_not_span(rng):
-    geom = UpaGeometry(4, 3)
-    frame = FrameConfig(5, 4, 8, 1.92e6, 0.3e12)
-    chan = sample_comm_channel(geom, geom, frame, rng, num_nlos=1)  # P = 2
-    basis = np.linalg.qr(chan.factors()[1])[0]
-    inside = basis @ _random_digital(rng, 5, 2, 3)
-    _assert_rel(np.einsum("tr,mrs->mts", basis, CommTarget.factor(inside, basis).coeffs),
-                inside)
-    outside = random_semi_unitary(12, 1, rng)
-    outside -= basis @ (basis.conj().T @ outside)
-    # a part outside the span with 1e-6 of the energy, far above round-off
-    leak = inside.copy()
-    leak[2, :, 1] += 1e-3 * np.linalg.norm(inside) * outside[:, 0] / np.linalg.norm(outside)
-    for comm, b in ((leak, basis), (inside, 2.0 * basis), (inside, basis[:, :1])):
-        with pytest.raises(ValueError, match="spanning the comm target"):
-            CommTarget.factor(comm, b)
-
-
 @pytest.mark.parametrize("ns", (2, 3))
 def test_comm_design_factors_the_svd_precoders(ns, rng):
     # P = 2 paths: at ns = 2 the target is the SVD's own Q_t V; at ns = 3 the
@@ -594,8 +605,9 @@ def test_comm_design_factors_the_svd_precoders(ns, rng):
     if ns == 2:
         np.testing.assert_array_equal(target.basis, basis)
     else:
-        with pytest.raises(ValueError, match="spanning the comm target"):
-            CommTarget.factor(f, basis)
+        # the padded column of each F[m] lies wholly outside span(Q_t)
+        outside = f - basis @ (basis.conj().T @ f)
+        assert np.isclose(np.linalg.norm(outside) ** 2, 5.0, rtol=1e-12)
     _assert_rel(np.einsum("tr,mrs->mts", target.basis, target.coeffs), f)
     assert np.isclose(target.energy, 5 * ns, rtol=1e-12)
 

@@ -3,21 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
-from thzisac import experiments, sensing_rx
+from thzisac import experiments, isi_ici, sensing_rx
 from thzisac.channel import SensingScene, SensingTarget
 from thzisac.geometry import (AngularWindow, UpaGeometry, dft_codebook,
-                              sensing_window, slot_for_angle, steering_many,
-                              steering_upa)
+                              sensing_window, slot_for_angle, steering_factors,
+                              steering_many, steering_upa)
 from thzisac.precoding import (PrecoderSet, PrecodingTargets,
                                default_switch_pattern, optimal_sensing_precoder,
                                vec_hybrid_precoding)
-from thzisac.sensing_rx import (MlProfile, ObservationBlock, golden_section_max,
-                                gss_refine, ml_profile, music_grid, music_spectrum,
+from thzisac.sensing_rx import (MlProfile, MusicGrid, ObservationBlock, golden_section_max,
+                                gss_refine, music_grid, music_spectrum,
                                 receive_combiner, reconstruct_reference, sdft_coarse,
                                 simulate_rx, estimate_slot)
 from thzisac.waveform import FrameConfig, generate_symbols
 
-from oracles import ml_profile_direct, ml_profile_per_probe
+from oracles import ml_profile_direct, ml_profile_per_probe, sensing_channel
 from test_harness import _tiny_config
 
 
@@ -116,7 +116,6 @@ def test_simulate_rx_snr_scaling(geom, frame, rng):
 
 def test_simulate_rx_matches_dense_channel(geom, frame, rng):
     # factored fast path equals the dense H_s[m,n] product
-    from thzisac.channel import sensing_channel
     pre = _scan_precoders(geom, frame, 2, 2, 4, rng)
     tgt = SensingTarget(range_m=4.0, velocity_mps=30.0, azimuth=-1.0,
                         coeff=0.7 - 0.2j)
@@ -188,6 +187,11 @@ def test_simulate_rx_noise_covariance(geom, frame, case):
 # MUSIC
 # ---------------------------------------------------------------------------
 
+def _music_grid(angles, geom, phi=np.pi / 2):
+    """A MusicGrid on any angle array, not only a window's arange."""
+    return MusicGrid(angles, *steering_factors(angles, phi, geom), phi)
+
+
 @pytest.mark.parametrize("w_count,l_count", [(8, 4), (4, 8)])
 @pytest.mark.parametrize("masked", [False, True])
 def test_music_spectrum_matches_dense_manifold(w_count, l_count, masked):
@@ -202,7 +206,7 @@ def test_music_spectrum_matches_dense_manifold(w_count, l_count, masked):
     block = ObservationBlock(rng.standard_normal((4, 16, 8))
                              + 1j * rng.standard_normal((4, 16, 8)))
     grid = np.linspace(-1.5, 1.5, 301)
-    res = music_spectrum(block, comb, 1, grid, geom, elevation=phi)
+    res = music_spectrum(block, comb, 1, _music_grid(grid, geom, phi))
     y = block.stacked()
     evals, evecs = np.linalg.eigh(y @ y.conj().T / y.shape[1])
     u_n = evecs[:, np.argsort(evals)[::-1][1:]]
@@ -229,7 +233,7 @@ def test_music_recovers_single_target(geom, frame, rng):
     theta = np.deg2rad(71.37)
     block, comb, _, _, window = _noiseless_block(geom, frame, theta, rng)
     grid = np.arange(window.lo, window.hi, np.deg2rad(0.01))
-    res = music_spectrum(block, comb, 1, grid, geom)
+    res = music_spectrum(block, comb, 1, _music_grid(grid, geom))
     assert abs(np.rad2deg(res.peak_angles[0] - theta)) < 0.01
     assert res.spectrum.max() > 1e6  # denominator collapses at the true angle
 
@@ -245,37 +249,63 @@ def test_music_covariance_properties(geom, frame, rng):
     assert evals.min() > -1e-10 * evals.max()
     assert np.isclose(np.trace(r).real, np.mean(np.sum(np.abs(y) ** 2, axis=0)),
                       atol=1e-10)
-    res = music_spectrum(block, comb, 1, np.arange(window.lo, window.hi, 1e-3), geom)
+    res = music_spectrum(block, comb, 1, _music_grid(np.arange(window.lo, window.hi, 1e-3), geom))
     assert np.all(np.diff(res.eigenvalues) <= 1e-12)
 
 
 def test_music_scale_invariance(geom, frame, rng):
     theta = np.deg2rad(72.0)
     block, comb, _, _, window = _noiseless_block(geom, frame, theta, rng, noise=0.05)
-    grid = np.arange(window.lo, window.hi, np.deg2rad(0.05))
-    res1 = music_spectrum(block, comb, 1, grid, geom)
+    grid = _music_grid(np.arange(window.lo, window.hi, np.deg2rad(0.05)), geom)
+    res1 = music_spectrum(block, comb, 1, grid)
     block.y = block.y * (3.0 - 1.5j)
-    res2 = music_spectrum(block, comb, 1, grid, geom)
+    res2 = music_spectrum(block, comb, 1, grid)
     assert np.isclose(res1.peak_angles[0], res2.peak_angles[0], atol=1e-12)
 
 
 def test_music_with_prebuilt_grid_is_bit_identical(geom, frame, rng):
+    # music_grid is the window's arange with its Kronecker factors at the
+    # recorded elevation; a grid built once gives the same MusicResult as one
+    # built anew, and estimate_slot's angles are MUSIC's peaks on it
     theta = np.deg2rad(72.0)
     block, comb, pre, sym, window = _noiseless_block(geom, frame, theta, rng, noise=0.05)
     grid = music_grid(window, 0.05, geom)
     step = np.deg2rad(0.05)
     assert np.array_equal(grid.angles, np.arange(window.lo, window.hi + step / 2, step))
-    built = music_spectrum(block, comb, 1, grid.angles, geom)
-    given = music_spectrum(block, comb, 1, grid.angles, geom, grid=grid)
+    a_z, a_y = steering_factors(grid.angles, np.pi / 2, geom)
+    assert np.array_equal(grid.a_z, a_z) and np.array_equal(grid.a_y, a_y)
+    assert grid.elevation == np.pi / 2
+    shared = music_spectrum(block, comb, 1, grid)
+    fresh = music_spectrum(block, comb, 1, music_grid(window, 0.05, geom))
     for name in ("angles", "spectrum", "peak_angles", "eigenvalues"):
-        assert np.array_equal(getattr(given, name), getattr(built, name)), name
-    with pytest.raises(ValueError, match="do not fit"):
-        music_spectrum(block, comb, 1, grid.angles[1:], geom, grid=grid)
-    own = estimate_slot(block, comb, pre, sym, frame, window, 1, geom, geom,
-                        grid_step_deg=0.05)
-    shared = estimate_slot(block, comb, pre, sym, frame, window, 1, geom, geom,
-                           grid_step_deg=0.05, grid=grid)
-    assert own == shared
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
+    ests = estimate_slot(block, comb, pre, sym, frame, grid, 1, geom, geom)
+    assert [th for th, _ in ests] == list(shared.peak_angles)
+
+
+def test_each_estimate_builds_one_profile(monkeypatch, geom, frame, rng):
+    # one matched-filter profile serves the coarse grid and the refinement
+    built = []
+
+    class CountedProfile(MlProfile):
+        def __init__(self, *args):
+            built.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sensing_rx, "MlProfile", CountedProfile)
+    monkeypatch.setattr(isi_ici, "MlProfile", CountedProfile)
+    block, comb, pre, sym, window = _noiseless_block(geom, frame, np.deg2rad(72.0), rng,
+                                                     noise=0.05)
+    ests = estimate_slot(block, comb, pre, sym, frame, music_grid(window, 0.05, geom), 1,
+                         geom, geom)
+    assert len(ests) == len(built) == 1
+    pair = isi_ici.ExtendedTxPair(generate_symbols(frame, 1, rng)[0],
+                                  generate_symbols(frame, 1, rng)[0])
+    y = rng.standard_normal(32 * 8) + 1j * rng.standard_normal(32 * 8)
+    for count in (1, 2):
+        built.clear()
+        assert len(isi_ici.unaware_estimate_peaks(y, pair, frame, count, frame.t_cp)) == count
+        assert len(built) == 1
 
 
 def test_mc_rmse_builds_music_grid_once_per_slot(monkeypatch, tmp_path):
@@ -309,7 +339,7 @@ def test_music_requires_noise_subspace(geom, frame, rng):
     theta = np.deg2rad(72.0)
     block, comb, _, _, window = _noiseless_block(geom, frame, theta, rng)
     with pytest.raises(ValueError):
-        music_spectrum(block, comb, 4, np.array([0.1, 0.2]), geom)
+        music_spectrum(block, comb, 4, _music_grid(np.array([0.1, 0.2]), geom))
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +354,14 @@ def test_ml_profile_max_at_truth_and_phase_invariance(geom, frame, rng):
     xhat = reconstruct_reference(theta, np.pi / 2, comb, pre, sym, geom, geom)
     tgt = SensingTarget(range_m=tau_r, velocity_mps=vel, azimuth=theta, coeff=1.0)
     tau0, nu0 = tgt.delay(), tgt.doppler(frame.fc)
-    peak = ml_profile(block.y, xhat, tau0, nu0, frame)
+    peak = MlProfile(block.y, xhat, frame)(tau0, nu0)
     for dt in (-0.3, 0.2, 0.45):
         for dv in (-0.4, 0.35):
-            off = ml_profile(block.y, xhat, tau0 + dt / (32 * frame.delta_f),
-                             nu0 + dv / (8 * frame.t_total), frame)
+            off = MlProfile(block.y, xhat, frame)(tau0 + dt / (32 * frame.delta_f),
+                                                  nu0 + dv / (8 * frame.t_total))
             assert off < peak
     rotated = block.y * np.exp(1j * 1.234)
-    assert np.isclose(ml_profile(rotated, xhat, tau0, nu0, frame), peak, rtol=1e-12)
+    assert np.isclose(MlProfile(rotated, xhat, frame)(tau0, nu0), peak, rtol=1e-12)
 
 
 def test_ml_profile_doppler_periodicity(geom, frame, rng):
@@ -369,7 +399,7 @@ def test_ml_denominator_constant(geom, frame, rng):
 def test_sdft_equals_direct_oracle(geom, frame, rng):
     y = rng.standard_normal((2, 32, 8)) + 1j * rng.standard_normal((2, 32, 8))
     xh = rng.standard_normal((2, 32, 8)) + 1j * rng.standard_normal((2, 32, 8))
-    (m0, n0), profile = sdft_coarse(y, xh, frame)
+    (m0, n0), profile = sdft_coarse(MlProfile(y, xh, frame))
     for mm in range(0, 32, 5):
         for jj in range(8):
             nn = jj - 8 if jj >= 4 else jj
@@ -387,14 +417,14 @@ def test_sdft_on_grid_target(geom, frame, rng):
     psi = (np.exp(-2j * np.pi * np.arange(32)[:, None] * frame.delta_f * tau)
            * np.exp(2j * np.pi * np.arange(8)[None, :] * frame.t_total * nu))
     y = 0.8 * psi[None] * xh
-    (m0, n0), _ = sdft_coarse(y, xh, frame)
+    (m0, n0), _ = sdft_coarse(MlProfile(y, xh, frame))
     assert (m0, n0) == (m_true, n_true)
 
 
 def test_sdft_zero_signal(frame):
     y = np.zeros((1, 32, 8), dtype=complex)
     xh = np.ones((1, 32, 8), dtype=complex)
-    _, profile = sdft_coarse(y, xh, frame)
+    _, profile = sdft_coarse(MlProfile(y, xh, frame))
     assert np.all(profile == 0)
 
 
@@ -410,7 +440,7 @@ def test_gss_on_grid_stays_near_coarse(geom, frame, rng):
            * np.exp(2j * np.pi * np.arange(8)[None, :] * frame.t_total * nu))
     y = psi[None] * xh
     prof = MlProfile(y, xh, frame)
-    coarse, _ = sdft_coarse(y, xh, frame)
+    coarse, _ = sdft_coarse(prof)
     est = gss_refine(prof, coarse, frame)
     assert abs(est.tau_hat - tau) < 0.5 / (32 * frame.delta_f)
     assert abs(est.nu_hat - nu) < 0.5 / (8 * frame.t_total)
@@ -425,7 +455,7 @@ def test_gss_off_grid_matches_fine_oracle(geom, frame, rng):
         * np.ones((1, 8))
     y = psi[None] * xh
     prof = MlProfile(y, xh, frame)
-    coarse, _ = sdft_coarse(y, xh, frame)
+    coarse, _ = sdft_coarse(prof)
     est = gss_refine(prof, coarse, frame)
     # 1000x oversampled exhaustive search inside the refinement region
     taus = np.linspace((coarse[0] - 1) * d_tau, (coarse[0] + 1) * d_tau, 2001)
@@ -491,7 +521,8 @@ def test_pipeline_noiseless_accuracy(geom, frame, rng):
         from thzisac.channel import check_isi_ici_free
         check_isi_ici_free(SensingScene([SensingTarget(
             range_m=15.0, velocity_mps=20.0, azimuth=theta, coeff=1.0)]), frame)
-    results = estimate_slot(block, comb, pre, sym, frame, window, 1, geom, geom)
+    results = estimate_slot(block, comb, pre, sym, frame, music_grid(window, 0.01, geom), 1,
+                            geom, geom)
     th, est = results[0]
     assert abs(np.rad2deg(th - theta)) < 1e-2
     assert abs(est.range_hat - 15.0) < 1e-4

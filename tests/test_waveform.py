@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thzisac.waveform import (FrameConfig, generate_symbols, ofdm_demodulate,
-                              ofdm_modulate, precode_frequency)
+from thzisac.waveform import FrameConfig, generate_symbols, ofdm_demodulate, ofdm_modulate
 
 
 @pytest.fixture
@@ -19,7 +18,6 @@ def test_timing_identities(frame):
     assert frame.t_cp == frame.t_symbol / 4
     assert frame.t_total == frame.t_symbol + frame.t_cp
     assert frame.t_slot == 16 * frame.t_total
-    assert frame.t_frame == 32 * frame.t_slot
 
 
 def test_frame_validation():
@@ -56,42 +54,6 @@ def test_symbols_deterministic(frame):
     a = generate_symbols(frame, 2, np.random.default_rng(5))
     b = generate_symbols(frame, 2, np.random.default_rng(5))
     np.testing.assert_array_equal(a, b)
-
-
-def test_precode_identity(frame, rng):
-    sym = generate_symbols(frame, 4, rng)
-    x = precode_frequency(sym, np.eye(4), np.repeat(np.eye(4)[None], 64, axis=0))
-    np.testing.assert_allclose(x, sym, atol=1e-15)
-
-
-def test_precode_power(frame, rng):
-    # ||F_RF F_BB||_F^2 = ns and symbol power 1/ns give unit antenna power
-    ns, n_rf, nt = 4, 4, 32
-    f_rf = np.exp(2j * np.pi * rng.random((nt, n_rf)))
-    f_bb = rng.standard_normal((64, n_rf, ns)) + 1j * rng.standard_normal((64, n_rf, ns))
-    for m in range(64):
-        f_bb[m] *= np.sqrt(ns) / np.linalg.norm(f_rf @ f_bb[m])
-    sym = generate_symbols(frame, ns, rng)
-    x = precode_frequency(sym, f_rf, f_bb)
-    power = np.mean(np.sum(np.abs(x) ** 2, axis=0))
-    assert abs(power - 1.0) < 0.05
-
-
-def test_precode_zero_structure(frame, rng):
-    nt, n_rf, ns = 8, 2, 2
-    f_rf = np.zeros((nt, n_rf), dtype=complex)
-    f_rf[:4, 0] = 1.0  # single closed subarray on chain 0
-    f_bb = np.zeros((64, n_rf, ns), dtype=complex)
-    f_bb[:, 0, :] = 1.0
-    x = precode_frequency(generate_symbols(frame, ns, rng), f_rf, f_bb)
-    assert np.all(x[4:] == 0)
-    assert np.any(x[:4] != 0)
-
-
-def test_precode_dimension_mismatch(frame, rng):
-    sym = generate_symbols(frame, 4, rng)
-    with pytest.raises(ValueError):
-        precode_frequency(sym, np.eye(4), np.repeat(np.eye(4)[None], 63, axis=0))
 
 
 def test_modulate_round_trip(frame, rng):
