@@ -263,10 +263,11 @@ def test_music_scale_invariance(geom, frame, rng):
     assert np.isclose(res1.peak_angles[0], res2.peak_angles[0], atol=1e-12)
 
 
-def test_music_with_prebuilt_grid_is_bit_identical(geom, frame, rng):
+def test_music_with_prebuilt_grid_is_bit_identical(monkeypatch, geom, frame, rng):
     # music_grid is the window's arange with its Kronecker factors at the
     # recorded elevation; a grid built once gives the same MusicResult as one
-    # built anew, and estimate_slot's angles are MUSIC's peaks on it
+    # built anew, estimate_slot's angles are MUSIC's peaks on it, and its
+    # templates are built at the grid's elevation
     theta = np.deg2rad(72.0)
     block, comb, pre, sym, window = _noiseless_block(geom, frame, theta, rng, noise=0.05)
     grid = music_grid(window, 0.05, geom)
@@ -281,6 +282,12 @@ def test_music_with_prebuilt_grid_is_bit_identical(geom, frame, rng):
         assert np.array_equal(getattr(shared, name), getattr(fresh, name)), name
     ests = estimate_slot(block, comb, pre, sym, frame, grid, 1, geom, geom)
     assert [th for th, _ in ests] == list(shared.peak_angles)
+    phis, real = [], sensing_rx.reconstruct_reference
+    monkeypatch.setattr(sensing_rx, "reconstruct_reference",
+                        lambda theta, phi, *args: phis.append(phi) or real(theta, phi, *args))
+    estimate_slot(block, comb, pre, sym, frame, music_grid(window, 0.05, geom, 1.2), 1,
+                  geom, geom)
+    assert phis == [1.2]
 
 
 def test_each_estimate_builds_one_profile(monkeypatch, geom, frame, rng):
