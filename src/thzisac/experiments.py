@@ -24,20 +24,27 @@ from .waveform import generate_symbols
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.12g}"
-    return str(value)
+def _row_format(row) -> str:
+    """%-format line for a row: floats to 12 significant digits, anything else as str."""
+    return ",".join("%.12g" if isinstance(v, (float, np.floating)) else "%s" for v in row) + "\n"
 
 
 def write_csv(path: str, columns: list, rows: list, cfg: ExperimentConfig,
               experiment: str):
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    formats = {}
+
+    def line(row) -> str:
+        key = tuple(map(type, row))
+        fmt = formats.get(key)
+        if fmt is None:
+            fmt = formats[key] = _row_format(row)
+        return fmt % tuple(row)
+
     with open(path, "w") as fh:
         fh.write(f"# thzisac {experiment} config_sha={config_digest(cfg)} seed={cfg.seed}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(line, rows))
 
 
 def write_summary(path: str, payload: dict, cfg: ExperimentConfig, experiment: str):

@@ -9,6 +9,13 @@ samples back, with a forward fraction of a sample inside the same symbol as a
 per-subcarrier phase ramp; the operator then applies the exact per-sample
 Doppler ramp and a per-symbol DFT, O(MN log M) per application.
 
+The refinement reads the same model without building it per probe. Along the
+delay axis the objective's numerator and energy are trigonometric polynomials
+in the sub-sample fraction whose coefficients depend only on the whole-sample
+lag (_lag_terms): one FFT of the symbols a lag reads, once per lag and line,
+then O(M) per probe. Along the Doppler axis one stream per line, then N + M
+exps per probe.
+
 The spatial dimension is collapsed here: one effective complex coefficient per
 target, with beamforming gains folded in by the caller.
 """
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,17 +96,27 @@ def apply_channel_operator(tau: float, nu: float, pair: ExtendedTxPair,
     return (np.fft.fft(r, axis=1) / np.sqrt(frame.m_subcarriers)).reshape(-1)
 
 
-def _delayed_rows(tau: float, pair: ExtendedTxPair, frame: FrameConfig) -> np.ndarray:
-    """Transmit samples a delay tau earlier at the receive instants, (N, M), CP removed."""
+def _sample_lag(tau: float, frame: FrameConfig) -> tuple:
+    """A delay as (lag, frac, n_prev) in samples of T/M.
+
+    tau reads the transmit stream lag whole samples back and then frac of a
+    sample forward inside the same symbol (0 <= frac < 1); the lag reaches
+    back into the last n_prev symbols of the previous slot.
+    """
     if tau < 0 or tau > frame.t_slot * (1 + 1e-12):
         raise ValueError(f"delay {tau} outside [0, slot duration {frame.t_slot}]")
+    shift = tau * frame.m_subcarriers * frame.delta_f
+    lag = int(np.ceil(shift - 1e-9))
+    n_prev = -(-max(0, lag - frame.m_cp) // (frame.m_subcarriers + frame.m_cp))
+    return lag, max(0.0, lag - shift), n_prev
+
+
+def _delayed_rows(tau: float, pair: ExtendedTxPair, frame: FrameConfig) -> np.ndarray:
+    """Transmit samples a delay tau earlier at the receive instants, (N, M), CP removed."""
     m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
     p_len = m_sc + m_cp
-    shift = tau * m_sc * frame.delta_f
-    lag = int(np.ceil(shift - 1e-9))
-    n_prev = -(-max(0, lag - m_cp) // p_len)
-    stream = _cp_stream(pair, frame, max(0.0, lag - shift), n_prev,
-                        (n_prev + n_sym) * p_len + m_cp)
+    lag, frac, n_prev = _sample_lag(tau, frame)
+    stream = _cp_stream(pair, frame, frac, n_prev, (n_prev + n_sym) * p_len + m_cp)
     first = n_prev * p_len + m_cp - lag
     return stream[first:first + n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc]
 
@@ -172,14 +190,97 @@ def _ratio(corr: complex, energy: float) -> float:
 # unitary, so <H x, y> = <rows * ramp, y_t> with rows = _delayed_rows(tau) and
 # ramp the unit-modulus Doppler ramp, and ||H x||^2 = ||rows||^2.
 
-def _delay_line(y_t: np.ndarray, nu: float, pair: ExtendedTxPair, frame: FrameConfig):
-    """The objective as a function of tau at fixed nu: one CP stream per probe."""
+class _ReadSymbols(NamedTuple):
+    """The transmit symbols a delay line reads, in stream order, (n_prev + N, M) each.
+
+    Rows are the last n_prev symbols of the previous slot, then the current
+    slot. x_conj[k] = conj(X_k), and autocorr[k, d] = sum_m conj(X_k[m+d]) X_k[m]
+    for 0 <= d < M, the aperiodic autocorrelation of symbol k's subcarriers.
+    """
+
+    x_conj: np.ndarray
+    autocorr: np.ndarray
+
+
+def _read_symbols(pair: ExtendedTxPair, frame: FrameConfig, tau_max: float) -> _ReadSymbols:
+    """The symbols every delay in [0, tau_max] reads, for _delay_line."""
+    m_sc, n_sym = frame.m_subcarriers, frame.n_symbols
+    n_prev = _sample_lag(tau_max, frame)[2]
+    x = np.ascontiguousarray(np.concatenate([pair.x_prev[:, n_sym - n_prev:], pair.x_curr],
+                                            axis=1).T)
+    # |FFT_2M(X_k)|^2 is real, so conj(IFFT(.)) = FFT(.) / 2M, and rfft holds d < M
+    power = np.abs(np.fft.fft(x, n=2 * m_sc, axis=1))
+    np.square(power, out=power)
+    autocorr = np.fft.rfft(power, axis=1)[:, :m_sc]
+    autocorr /= 2 * m_sc
+    return _ReadSymbols(x.conj(), autocorr)
+
+
+def _fold(sym: np.ndarray, m_cp: int) -> np.ndarray:
+    """Per-symbol stream columns (K, M + m_cp) summed onto the M samples the CP repeats.
+
+    Stream column c < m_cp carries sample M - m_cp + c, column c >= m_cp sample c - m_cp.
+    """
+    out = sym[:, m_cp:].copy()
+    out[:, out.shape[1] - m_cp:] += sym[:, :m_cp]
+    return out
+
+
+def _lag_terms(target: np.ndarray, symbols: _ReadSymbols, frame: FrameConfig, lag: int):
+    """Coefficients (c, e) of the objective's numerator and denominator at one whole-sample lag.
+
+    With rows = _delayed_rows at this lag and sub-sample fraction phi, and
+    rho_d = e^{-2 pi i phi d / M}:
+        <rows, target> = sum_d rho_d c_d,
+        ||rows||^2     = 2 Re sum_d rho_d e_d - Re e_0.
+    c_d = M^-1/2 sum_k conj(X_k[d]) FFT(G_k)[d], where G_k is target scattered
+    onto the stream positions its rows read and folded onto symbol k's samples;
+    e_d = M^-1 sum_k FFT(W_k)[d] autocorr_k[d], where W_k counts how often each
+    sample of symbol k is read. Row n reads symbol a + n from column o on and,
+    past its end, the head of symbol a + n + 1, so W_k takes two patterns.
+    """
+    m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
+    p_len = m_sc + m_cp
+    n_read = symbols.x_conj.shape[0]
+    first = (n_read - n_sym) * p_len + m_cp - lag
+    if first < 0:
+        raise ValueError(f"lag {lag} reaches past the {n_read} symbols read")
+    stream = np.zeros(n_read * p_len + m_cp, dtype=complex)
+    stream[first:first + n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc] = target
+    spec = np.fft.fft(_fold(stream[:n_read * p_len].reshape(n_read, p_len), m_cp), axis=1)
+    corr = np.einsum("km,km->m", symbols.x_conj, spec) / np.sqrt(m_sc)
+
+    a, o = divmod(first, p_len)
+    spill = max(0, o + m_sc - p_len)
+    counts = np.zeros((2, p_len))
+    counts[0, o:o + m_sc] = 1.0
+    counts[1, :spill] = 1.0
+    w_hat = np.fft.fft(_fold(counts, m_cp), axis=1)
+    energy = w_hat[0] * symbols.autocorr[a:a + n_sym].sum(axis=0)
+    if spill:
+        energy += w_hat[1] * symbols.autocorr[a + 1:a + 1 + n_sym].sum(axis=0)
+    return corr, energy / m_sc
+
+
+def _delay_line(y_t: np.ndarray, nu: float, frame: FrameConfig, symbols: _ReadSymbols):
+    """The objective as a function of tau at fixed nu: O(M) per probe.
+
+    Each whole-sample lag pays one FFT of the symbols it reads (_lag_terms),
+    cached for the line; a probe is then one length-M exp and two dot products
+    in its sub-sample fraction. symbols must cover the deepest probed delay.
+    """
     per_symbol, per_sample = _doppler_factors(nu, frame)
     target = y_t * np.outer(per_symbol, per_sample).conj()
+    rate = -2j * np.pi * np.arange(frame.m_subcarriers) / frame.m_subcarriers
+    terms = {}
 
     def fun(tau: float) -> float:
-        rows = np.ascontiguousarray(_delayed_rows(tau, pair, frame))
-        return _ratio(np.vdot(rows, target), np.vdot(rows, rows).real)
+        lag, frac, _ = _sample_lag(tau, frame)
+        if lag not in terms:
+            terms[lag] = _lag_terms(target, symbols, frame, lag)
+        corr, energy = terms[lag]
+        ramp = np.exp(rate * frac)
+        return _ratio(ramp @ corr, 2.0 * (ramp @ energy).real - energy[0].real)
     return fun
 
 
@@ -342,14 +443,15 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     tau0, nu0 = float(tau_grid[i]), float(nu_grid[j])
 
     y_t = _rx_samples(y, frame)
+    tau_box = (max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau))
+    symbols = _read_symbols(pair, frame, tau_box[1])
     (tau, nu), best = alternating_refine(
         # this module's binding of the search, so isi_ici.golden_section_max
         # names the line searches of the tackled refinement
         golden_section_max,
-        (lambda p: _delay_line(y_t, p[1], pair, frame),
+        (lambda p: _delay_line(y_t, p[1], frame, symbols),
          lambda p: _doppler_line(y_t, p[0], pair, frame)),
-        (tau0, nu0),
-        ((max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau)), (nu0 - d_nu, nu0 + d_nu)),
+        (tau0, nu0), (tau_box, (nu0 - d_nu, nu0 + d_nu)),
         (1e-6 * d_tau, 1e-6 * d_nu), rounds, iters)
     return TackledEstimate(
         tau_hat=tau, nu_hat=nu,

@@ -260,6 +260,14 @@ class MlProfile:
         psi_nu_c = np.exp(self._nu_rate * nu)
         return float(np.abs(psi_tau_c @ self.z @ psi_nu_c) ** 2)
 
+    def doppler_line(self, tau: float):
+        """The objective as a function of nu at fixed tau, bit-identical to self(tau, nu).
+
+        The row psi_tau^H z is built once; a probe is one length-N exp and dot.
+        """
+        row = np.exp(self._tau_rate * tau) @ self.z
+        return lambda nu: float(np.abs(row @ np.exp(self._nu_rate * nu)) ** 2)
+
     def grid(self) -> np.ndarray:
         """The objective on the whole 2D-DFT grid, M*N*|FFT_n(IFFT_m(z))|^2, shape (M, N).
 
@@ -375,14 +383,16 @@ def gss_refine(profile, coarse_bin: tuple, frame: FrameConfig, rounds: int = 3,
     """Continuous refinement around the coarse bin by alternating 1D searches.
 
     The search region spans one grid step either side of the coarse maximum on
-    both axes; see alternating_refine.
+    both axes; see alternating_refine. profile is an MlProfile or any callable
+    (tau, nu) -> value; only an MlProfile has a cheaper Doppler line.
     """
     m0, n0 = coarse_bin
     d_tau = 1.0 / (frame.m_subcarriers * frame.delta_f)
     d_nu = 1.0 / (frame.n_symbols * frame.t_total)
+    doppler_line = getattr(profile, "doppler_line", lambda t: lambda v: profile(t, v))
     (tau, nu), best = alternating_refine(
         golden_section_max,
-        (lambda p: lambda t: profile(t, p[1]), lambda p: lambda v: profile(p[0], v)),
+        (lambda p: lambda t: profile(t, p[1]), lambda p: doppler_line(p[0])),
         (m0 * d_tau, n0 * d_nu),
         (((m0 - 1) * d_tau, (m0 + 1) * d_tau), ((n0 - 1) * d_nu, (n0 + 1) * d_nu)),
         (1e-6 * d_tau, 1e-6 * d_nu), rounds, iters)

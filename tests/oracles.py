@@ -74,18 +74,18 @@ def bruteforce_rx(targets, pair, frame):
     return y.reshape(-1, order="F")
 
 
-def matched_objective(y, pair, frame):
-    """Normalized correlation |<H(tau,nu)x, y>|^2 / ||H(tau,nu)x||^2 as a callable.
+def tackled_objective(y, pair, frame, tau, nu):
+    """Normalized correlation |<H(tau,nu)x, y>|^2 / ||H(tau,nu)x||^2 of the full operator."""
+    h = apply_channel_operator(tau, nu, pair, frame)
+    den = float(np.vdot(h, h).real)
+    if den <= 0.0:
+        return 0.0
+    return float(np.abs(np.vdot(h, y)) ** 2 / den)
 
-    Applies the full frequency-domain operator at every (tau, nu).
-    """
-    def fun(tau, nu):
-        h = apply_channel_operator(tau, nu, pair, frame)
-        den = float(np.vdot(h, h).real)
-        if den <= 0.0:
-            return 0.0
-        return float(np.abs(np.vdot(h, y)) ** 2 / den)
-    return fun
+
+def matched_objective(y, pair, frame):
+    """tackled_objective as a callable of (tau, nu)."""
+    return lambda tau, nu: tackled_objective(y, pair, frame, tau, nu)
 
 
 def comm_channel_matrix(chan, m):

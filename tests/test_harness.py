@@ -228,6 +228,25 @@ def test_tradeoff_reproducible_csv(tmp_path):
     assert vec[1.0] >= vec[0.0]
 
 
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    # the writer's %-format per row type gives what formatting each value on
+    # its own gave: 12 significant digits for floats, str for everything else
+    def per_value(v):
+        return f"{v:.12g}" if isinstance(v, (float, np.floating)) else str(v)
+
+    rows = [("vec", 3, 0.1, float("nan"), -float("inf")),
+            ("vec", 3, 1 / 3, 2.5e-300, float("inf")),
+            (np.int64(7), np.float64(-0.0), np.float32(0.1), True, np.bool_(False)),
+            ("50%", None, 1e22, np.float64(123456789.123456789), np.int32(-4)),
+            ("a,b", 0, 1.0, np.float64("nan"), 12),
+            (),
+            [0.30000000000000004, "x"]]
+    path = tmp_path / "out.csv"
+    experiments.write_csv(str(path), ["a", "b"], rows, _tiny_config(), "test")
+    lines = path.read_text().splitlines(keepends=True)[2:]
+    assert lines == [",".join(per_value(v) for v in row) + "\n" for row in rows]
+
+
 def test_se_sweep_and_summary(tmp_path):
     cfg = _tiny_config()
     summary = experiments.run_se_sweep(cfg, str(tmp_path))

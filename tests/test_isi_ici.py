@@ -14,7 +14,7 @@ from thzisac.isi_ici import (ExtendedTxPair, _coarse_scan, _half_bin_grid,
                              unaware_successive_cancellation)
 from thzisac.waveform import FrameConfig, generate_symbols, ofdm_modulate
 
-from oracles import TxBaseband, bruteforce_rx, matched_objective
+from oracles import TxBaseband, bruteforce_rx, matched_objective, tackled_objective
 from test_harness import _tiny_config
 
 
@@ -212,7 +212,8 @@ def test_line_objectives_match_matched_objective(rng, shape):
     direct = np.array([[objective(t, v) for v in nus] for t in taus])
     by_doppler = np.array([[isi_ici._doppler_line(y_t, t, pair, frame)(v) for v in nus]
                            for t in taus])
-    by_delay = np.array([[isi_ici._delay_line(y_t, v, pair, frame)(t) for t in taus]
+    symbols = isi_ici._read_symbols(pair, frame, frame.t_slot)
+    by_delay = np.array([[isi_ici._delay_line(y_t, v, frame, symbols)(t) for t in taus]
                          for v in nus]).T
     assert np.all(direct > 0)
     np.testing.assert_allclose(by_doppler, direct, rtol=1e-9, atol=0.0)
@@ -222,8 +223,63 @@ def test_line_objectives_match_matched_objective(rng, shape):
 def test_line_objectives_zero_without_transmit_energy(frame, rng):
     pair = ExtendedTxPair(np.zeros((32, 8), complex), np.zeros((32, 8), complex))
     y_t = isi_ici._rx_samples(rng.standard_normal(32 * 8) + 0j, frame)
-    assert isi_ici._delay_line(y_t, 0.1 * frame.delta_f, pair, frame)(0.3 * frame.t_total) == 0.0
+    line = isi_ici._delay_line(y_t, 0.1 * frame.delta_f, frame,
+                               isi_ici._read_symbols(pair, frame, frame.t_slot))
+    assert line(0.3 * frame.t_total) == 0.0
     assert isi_ici._doppler_line(y_t, 0.3 * frame.t_total, pair, frame)(1e3) == 0.0
+
+
+@pytest.mark.parametrize("m_cp", [0, 8, 32])
+def test_delay_line_matches_operator_oracle(rng, m_cp):
+    # the closed form in the sub-sample fraction against the operator-built
+    # objective: at tau = 0, inside the CP, past it, past whole symbols
+    # (n_prev >= 1) and at the slot end, on whole samples and between them
+    frame = FrameConfig(32, 6, 4, 1e6, 0.3e12, m_cp=m_cp)
+    pair = _random_pair(frame, rng)
+    y = 0.7 * apply_channel_operator(1.3 * frame.t_total, 0.3 * frame.delta_f, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    y_t = isi_ici._rx_samples(y, frame)
+    d_tau = frame.t_symbol / 32
+    taus = [0.0, 0.37 * d_tau, max(0.0, frame.t_cp - 0.41 * d_tau), frame.t_cp,
+            frame.t_cp + 5.6 * d_tau, frame.t_total + frame.t_cp + 3.2 * d_tau,
+            2.5 * frame.t_total, 4 * frame.t_total + 7 * d_tau, frame.t_slot - 0.3 * d_tau,
+            frame.t_slot]
+    assert max(isi_ici._sample_lag(t, frame)[2] for t in taus) == frame.n_symbols
+    symbols = isi_ici._read_symbols(pair, frame, frame.t_slot)
+    for nu in (-0.7 * frame.delta_f, 0.0, 0.45 * frame.delta_f):
+        line = isi_ici._delay_line(y_t, nu, frame, symbols)
+        want = [tackled_objective(y, pair, frame, t, nu) for t in taus]
+        np.testing.assert_allclose([line(t) for t in taus], want, rtol=1e-12, atol=0.0)
+
+
+def test_delay_line_sets_up_once_per_lag(frame, rng, monkeypatch):
+    # only a new whole-sample lag pays the per-lag FFT; every other probe is a
+    # length-M exp and two dot products, however many land in that lag
+    pair = _random_pair(frame, rng)
+    y_t = isi_ici._rx_samples(rng.standard_normal(32 * 8) + 1j * rng.standard_normal(32 * 8),
+                              frame)
+    real, lags = isi_ici._lag_terms, []
+
+    def spy(target, symbols, fr, lag):
+        lags.append(lag)
+        return real(target, symbols, fr, lag)
+
+    monkeypatch.setattr(isi_ici, "_lag_terms", spy)
+    d_tau = frame.t_symbol / 32
+    line = isi_ici._delay_line(y_t, 0.2 * frame.delta_f, frame,
+                               isi_ici._read_symbols(pair, frame, frame.t_slot))
+    for shift in np.linspace(40.05, 41.0, 20):
+        line(shift * d_tau)
+    assert lags == [41]
+    for shift in (3.2, 40.5, 3.7, 4.0, 41.0):
+        line(shift * d_tau)
+    assert lags == [41, 4]
+    # a delay outside the slot, or deeper than the symbols the line was given
+    with pytest.raises(ValueError, match="outside"):
+        line(frame.t_slot * 1.01)
+    shallow = isi_ici._delay_line(y_t, 0.0, frame, isi_ici._read_symbols(pair, frame, frame.t_cp))
+    with pytest.raises(ValueError, match="reaches past"):
+        shallow(2 * frame.t_total)
 
 
 @pytest.mark.parametrize("predecessor", ["random", "zero"])

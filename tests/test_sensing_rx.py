@@ -392,6 +392,21 @@ def test_ml_profile_probe_equals_per_probe_formula(frame, rng):
         assert prof(tau, nu) == ml_profile_per_probe(prof.z, tau, nu, frame)
 
 
+def test_ml_profile_doppler_line_is_bit_identical(frame, rng):
+    # the line keeps the probe's association (psi_tau @ z) @ psi_nu, so
+    # gss_refine gives the same estimate on the profile as on a plain callable
+    y = rng.standard_normal((2, 32, 8)) + 1j * rng.standard_normal((2, 32, 8))
+    xh = rng.standard_normal((2, 32, 8)) + 1j * rng.standard_normal((2, 32, 8))
+    prof = MlProfile(y, xh, frame)
+    d_tau, d_nu = 1 / (32 * frame.delta_f), 1 / (8 * frame.t_total)
+    for tau in rng.uniform(-3, 40, 5) * d_tau:
+        line = prof.doppler_line(tau)
+        for nu in rng.uniform(-3, 40, 10) * d_nu:
+            assert line(nu) == prof(tau, nu) == ml_profile_per_probe(prof.z, tau, nu, frame)
+    coarse, _ = sdft_coarse(prof)
+    assert gss_refine(prof, coarse, frame) == gss_refine(lambda t, v: prof(t, v), coarse, frame)
+
+
 def test_ml_denominator_constant(geom, frame, rng):
     # |Psi| = 1 entrywise so the template energy never moves
     xhat = (rng.standard_normal((4, 32, 8)) + 1j * rng.standard_normal((4, 32, 8)))
