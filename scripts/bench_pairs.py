@@ -14,7 +14,8 @@ first in even pairs and the change first in odd ones, so slow drift of the
 host loads both sides alike.
 The output keeps every run's env and result lines, and per workload and
 end-to-end metric: the parent's and the change's q1/median/q3, the median
-ratio and the number of pairs in which the change was better. After its pairs,
+ratio, the number of pairs in which the change was better and a verdict
+against BENCHMARK.json's bound (see `verdict`). After its pairs,
 each workload also runs once per side with `--trace 1` on the first seed, and
 the output lists every per-layer metric of the two traced runs with its shift,
 change minus parent. It also records each side's line count of
@@ -77,11 +78,36 @@ def quartiles(values: list) -> list:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
-def summarize(runs: list, better: dict) -> dict:
+def verdict(parent: list, change: list, direction: str, bound: float) -> str:
+    """What one metric's pairs show, with parent[i] and change[i] run as pair i.
+
+    "gain": at least 10 pairs, the change better in at least 9/10 of them,
+    and the medians differ in its favour by more than the parent's q3 - q1.
+    "regression": the change's median is worse than the parent's by more
+    than bound times the parent's median. "unresolved": the parent's own
+    q3 - q1 exceeds bound times its median, unless every change run is better
+    than every parent run. "unchanged": none of these.
+    """
+    sign = 1.0 if direction == "higher" else -1.0
+    q1, median, q3 = quartiles(parent)
+    gap = sign * (statistics.median(change) - median)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if len(parent) >= 10 and 10 * wins >= 9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    if gap < -bound * abs(median):
+        return "regression"
+    all_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > bound * abs(median) and not all_better:
+        return "unresolved"
+    return "unchanged"
+
+
+def summarize(runs: list, better: dict, bounds: dict) -> dict:
     """workload -> metric -> pair statistics, from run records of both sides.
 
-    ``better`` maps each end-to-end metric to "higher" or "lower". A pair
-    counts only when both of its runs produced a result line.
+    ``better`` maps each end-to-end metric to "higher" or "lower", and
+    ``bounds`` to the relative amount by which it may worsen. A pair counts
+    only when both of its runs produced a result line.
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -107,6 +133,7 @@ def summarize(runs: list, better: dict) -> dict:
                                                    / statistics.median(parent), 3),
                 "change_better_in_pairs": sum(sign * (c - p) > 0
                                               for p, c in zip(parent, change)),
+                "verdict": verdict(parent, change, direction, bounds[metric]),
                 "parent_runs": [round(v, 4) for v in parent],
                 "change_runs": [round(v, 4) for v in change],
             }
@@ -170,6 +197,7 @@ def main(argv=None) -> int:
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     seeds = list(range(args.seeds[0], args.seeds[0] + args.seeds[1]))
 
     with tempfile.TemporaryDirectory(dir=args.work_dir) as work:
@@ -204,7 +232,7 @@ def main(argv=None) -> int:
         "src_lines": {**lines, "shift": lines["change"] - lines["parent"]},
         "env": host_env(runs),
         "seeds": f"{seeds[0]}-{seeds[-1]} for every workload, parent first in even pairs",
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
         "trace_command": f"python3 perfbench/run.py --workload <w> --seed {seeds[0]} "
                          f"--trace 1 --seconds {seconds:g}, once per side",
         "layers": layer_shifts(traced),

@@ -9,11 +9,19 @@ samples back, with a forward fraction of a sample inside the same symbol as a
 per-subcarrier phase ramp; the operator then applies the exact per-sample
 Doppler ramp and a per-symbol DFT, O(MN log M) per application.
 
+The coarse scan has two regimes, chosen from its grid's deepest lag. When no
+node reads past the CP, each receive symbol reads a cyclic shift of one
+current-slot symbol: the scan runs per symbol in the frequency domain, one
+(N, M) FFT per Doppler residue and a constant energy. Deeper grids correlate
+the whole receive stream with the transmit stream, overlap-save, one FFT of
+about N(M + m_cp) samples per Doppler node.
+
 The refinement reads the same model without building it per probe. Along the
 delay axis the objective's numerator and energy are trigonometric polynomials
 in the sub-sample fraction whose coefficients depend only on the whole-sample
 lag (_lag_terms): one FFT of the symbols a lag reads, once per lag and line,
-then O(M) per probe. Along the Doppler axis one stream per line, then N + M
+then O(M) per probe; inside the CP the energy is a constant and needs no
+autocorrelation table. Along the Doppler axis one stream per line, then N + M
 exps per probe.
 
 The spatial dimension is collapsed here: one effective complex coefficient per
@@ -196,6 +204,9 @@ class _ReadSymbols(NamedTuple):
     Rows are the last n_prev symbols of the previous slot, then the current
     slot. x_conj[k] = conj(X_k), and autocorr[k, d] = sum_m conj(X_k[m+d]) X_k[m]
     for 0 <= d < M, the aperiodic autocorrelation of symbol k's subcarriers.
+    When no read delay passes the CP (n_prev = 0), autocorr holds only its
+    d = 0 column ||X_k||^2: every row then reads each sample of one symbol
+    once, so the other columns do not enter the energy.
     """
 
     x_conj: np.ndarray
@@ -208,6 +219,8 @@ def _read_symbols(pair: ExtendedTxPair, frame: FrameConfig, tau_max: float) -> _
     n_prev = _sample_lag(tau_max, frame)[2]
     x = np.ascontiguousarray(np.concatenate([pair.x_prev[:, n_sym - n_prev:], pair.x_curr],
                                             axis=1).T)
+    if n_prev == 0:
+        return _ReadSymbols(x.conj(), np.sum(x.real ** 2 + x.imag ** 2, axis=1, keepdims=True))
     # |FFT_2M(X_k)|^2 is real, so conj(IFFT(.)) = FFT(.) / 2M, and rfft holds d < M
     power = np.abs(np.fft.fft(x, n=2 * m_sc, axis=1))
     np.square(power, out=power)
@@ -238,6 +251,7 @@ def _lag_terms(target: np.ndarray, symbols: _ReadSymbols, frame: FrameConfig, la
     e_d = M^-1 sum_k FFT(W_k)[d] autocorr_k[d], where W_k counts how often each
     sample of symbol k is read. Row n reads symbol a + n from column o on and,
     past its end, the head of symbol a + n + 1, so W_k takes two patterns.
+    e has as many terms as symbols.autocorr has columns.
     """
     m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
     p_len = m_sc + m_cp
@@ -247,8 +261,9 @@ def _lag_terms(target: np.ndarray, symbols: _ReadSymbols, frame: FrameConfig, la
         raise ValueError(f"lag {lag} reaches past the {n_read} symbols read")
     stream = np.zeros(n_read * p_len + m_cp, dtype=complex)
     stream[first:first + n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc] = target
-    spec = np.fft.fft(_fold(stream[:n_read * p_len].reshape(n_read, p_len), m_cp), axis=1)
-    corr = np.einsum("km,km->m", symbols.x_conj, spec) / np.sqrt(m_sc)
+    folded = _fold(stream[:n_read * p_len].reshape(n_read, p_len), m_cp)
+    del stream
+    corr = np.einsum("km,km->m", symbols.x_conj, np.fft.fft(folded, axis=1)) / np.sqrt(m_sc)
 
     a, o = divmod(first, p_len)
     spill = max(0, o + m_sc - p_len)
@@ -256,7 +271,7 @@ def _lag_terms(target: np.ndarray, symbols: _ReadSymbols, frame: FrameConfig, la
     counts[0, o:o + m_sc] = 1.0
     counts[1, :spill] = 1.0
     w_hat = np.fft.fft(_fold(counts, m_cp), axis=1)
-    energy = w_hat[0] * symbols.autocorr[a:a + n_sym].sum(axis=0)
+    energy = w_hat[0, :symbols.autocorr.shape[1]] * symbols.autocorr[a:a + n_sym].sum(axis=0)
     if spill:
         energy += w_hat[1] * symbols.autocorr[a + 1:a + 1 + n_sym].sum(axis=0)
     return corr, energy / m_sc
@@ -280,7 +295,7 @@ def _delay_line(y_t: np.ndarray, nu: float, frame: FrameConfig, symbols: _ReadSy
             terms[lag] = _lag_terms(target, symbols, frame, lag)
         corr, energy = terms[lag]
         ramp = np.exp(rate * frac)
-        return _ratio(ramp @ corr, 2.0 * (ramp @ energy).real - energy[0].real)
+        return _ratio(ramp @ corr, 2.0 * (ramp[:energy.size] @ energy).real - energy[0].real)
     return fun
 
 
@@ -326,15 +341,21 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
 
     With P = M + m_cp samples of T/M per symbol, delay node i = tau / (T/(2M))
     reads the serialized transmit stream of the two slots at half-sample phase
-    i % 2, (i + 1) // 2 samples back. For one Doppler node the correlations of
-    all delays with the Doppler-rotated receive stream (zero on the CP
-    samples) are therefore one cross-correlation per phase. It is computed
-    overlap-save: the receive stream is cut into blocks, each correlated
-    against the transmit samples from the largest lag before it, and the
-    block spectra are summed before one short inverse FFT. Each delay's energy
-    ||H(tau, nu) x||^2 is a sum of N windows of a cumulative sum of |stream|^2.
-    Cost per Doppler node: one batched FFT of about N*P samples, whatever the
-    delay span; the Doppler ramp is applied by a running product.
+    i % 2, (i + 1) // 2 samples back. Two regimes, chosen from the deepest lag
+    of the grid once it has been checked against the lattice and the slot:
+
+    - Deepest lag <= m_cp: every receive symbol reads a cyclic shift of one
+      current-slot symbol, and the scan runs per symbol in the frequency
+      domain (_scan_in_cp): one (N, M) FFT per Doppler residue, no stream.
+    - Deeper: for one Doppler node the correlations of all delays with the
+      Doppler-rotated receive stream (zero on the CP samples) are one
+      cross-correlation per phase. It is computed overlap-save: the receive
+      stream is cut into blocks, each correlated against the transmit samples
+      from the largest lag before it, and the block spectra are summed before
+      one short inverse FFT. Each delay's energy ||H(tau, nu) x||^2 is a sum
+      of N windows of a cumulative sum of |stream|^2. Cost per Doppler node:
+      one batched FFT of about N*P samples, whatever the delay span; the
+      Doppler ramp is applied by a running product.
     """
     m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
     p_len = m_sc + m_cp
@@ -347,8 +368,10 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     if i_nodes.min() < 0 or i_nodes.max() > 2 * n_sym * p_len:
         raise ValueError("delay grid outside [0, slot duration]")
     lags = (i_nodes + 1) // 2
-    by_phase = [(sel, lags[sel]) for sel in (i_nodes % 2 == 0, i_nodes % 2 == 1)]
     lag_max = int(lags.max())
+    if lag_max <= m_cp:
+        return _scan_in_cp(y, pair.x_curr, frame, i_nodes, j_nodes)
+    by_phase = [(sel, lags[sel]) for sel in (i_nodes % 2 == 0, i_nodes % 2 == 1)]
 
     # receive samples m_cp .. N*P-1 of the slot in n_blk blocks of blk_len; the
     # transmit stream starts with the n_prev previous-slot symbols lag_max reaches.
@@ -404,6 +427,48 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     live = den > 0.0
     out[~live] = 0.0
     out[live] /= den[live, None]
+    return out
+
+
+def _scan_in_cp(y: np.ndarray, x_curr: np.ndarray, frame: FrameConfig, i_nodes: np.ndarray,
+                j_nodes: np.ndarray) -> np.ndarray:
+    """_coarse_scan on delay nodes i whose lag (i + 1) // 2 is at most m_cp.
+
+    Row n then reads current-slot symbol n cyclically shifted by i/2 samples,
+    so with G_j[n] = FFT_M(y_t[n] * e^{-2 pi i j (m_cp + m) / (2NP)}):
+        corr[i, j] = M^-1/2 sum_k e^{2 pi i k i / (2M)}
+                     sum_n e^{-2 pi i j n / (2N)} conj(X_n[k]) G_j[n, k],
+    and every node's energy is sum_n ||X_n||^2. Both half-sample phases of a
+    Doppler node come out of one 2M-point inverse FFT. Doppler nodes j and
+    j + K, K = 2NP / gcd(2NP, M), have G_{j+K}[n, k] = G_j[n, k + M / gcd]
+    times a constant phase, which |corr|^2 drops: one (N, M) FFT per residue
+    of j mod K, then O(NM) per node.
+    """
+    m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
+    out = np.zeros((i_nodes.size, j_nodes.size))
+    energy = float(np.sum(x_curr.real ** 2 + x_curr.imag ** 2))
+    if energy == 0.0:
+        return out
+    period = 2 * n_sym * (m_sc + m_cp)
+    k_res, bins = period // np.gcd(period, m_sc), m_sc // np.gcd(period, m_sc)
+    sample_rate = -2j * np.pi * (m_cp + np.arange(m_sc)) / period
+    symbol_rate = -1j * np.pi * np.arange(n_sym) / n_sym
+    y_t = _rx_samples(y, frame)
+    x_conj = np.ascontiguousarray(x_curr.T.conj())
+    prod = np.empty((n_sym, m_sc), dtype=complex)
+    residues = j_nodes % k_res
+    for res in np.unique(residues):
+        cols = np.flatnonzero(residues == res)
+        j_0 = j_nodes[cols[0]]
+        spec = np.fft.fft(y_t * np.exp(sample_rate * j_0), axis=1)
+        for col in cols:
+            s = (j_nodes[col] - j_0) // k_res * bins % m_sc
+            np.multiply(x_conj[:, :m_sc - s], spec[:, s:], out=prod[:, :m_sc - s])
+            np.multiply(x_conj[:, m_sc - s:], spec[:, :s], out=prod[:, m_sc - s:])
+            z = np.exp(symbol_rate * j_nodes[col]) @ prod
+            corr = np.fft.ifft(z, n=2 * m_sc, norm="forward")[i_nodes % (2 * m_sc)]
+            out[:, col] = corr.real ** 2 + corr.imag ** 2
+    out /= m_sc * energy
     return out
 
 

@@ -362,15 +362,25 @@ def alternating_refine(search, lines, start, boxes, tols, rounds: int, iters: in
     over boxes[k] = (lo, hi) to tolerance tols[k]. A move is taken only when
     it beats the best value so far, so the result never scores below start;
     a non-unimodal region degrades to the best found. Stops after rounds
-    rounds, or after the first round that improves nothing. Returns
+    rounds, or after the first round that improves nothing. Each axis's
+    line is built anew only when a coordinate it holds has moved. Returns
     (point, best value).
     """
     point = list(start)
-    best = lines[0](point)(point[0])
+    built = {}
+
+    def line_at(k: int):
+        held = point[:k] + point[k + 1:]
+        if k not in built or built[k][0] != held:
+            built.pop(k, None)  # free the stale line before its successor is built
+            built[k] = (held, lines[k](point))
+        return built[k][1]
+
+    best = line_at(0)(point[0])
     for _ in range(rounds):
         improved = False
-        for k, line in enumerate(lines):
-            cand, val = search(line(point), *boxes[k], iters, tols[k])
+        for k in range(len(lines)):
+            cand, val = search(line_at(k), *boxes[k], iters, tols[k])
             if val > best:
                 point[k], best, improved = cand, val, True
         if not improved:

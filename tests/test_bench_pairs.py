@@ -30,8 +30,8 @@ def test_summary_reads_each_metric_in_its_own_direction():
         runs += [_run("parent", pair, parent, 50.0, failed=pair == 1),
                  _run("change", pair, change, 50.0 - change)]
     runs += [_run("parent", 5, 9.0, 50.0), _run("change", 5, 0.0, 0.0, rc=1)]
-    summary = bench_pairs.summarize(runs, {"trials_per_s": "higher",
-                                           "peak_rss_mb": "lower"})["w"]
+    summary = bench_pairs.summarize(runs, {"trials_per_s": "higher", "peak_rss_mb": "lower"},
+                                    {"trials_per_s": 0.25, "peak_rss_mb": 0.05})["w"]
     rate = summary["trials_per_s"]
     assert rate["pairs"] == 5  # the pair whose change run failed is left out
     assert rate["parent_q1_median_q3"] == [2.0, 3.0, 4.0]
@@ -40,8 +40,32 @@ def test_summary_reads_each_metric_in_its_own_direction():
     assert rate["change_better_in_pairs"] == 4
     assert rate["parent_runs"] == [1.0, 2.0, 3.0, 4.0, 5.0]
     assert summary["peak_rss_mb"]["change_better_in_pairs"] == 5  # lower is better
+    # the parent's rates spread 2.0-4.0 around 3.0, wider than 25%
+    assert rate["verdict"] == "unresolved"
+    assert summary["peak_rss_mb"]["verdict"] == "unchanged"  # every change run is better
     assert summary["failed_checks_parent_change"] == [1, 0]
     assert summary["rc_nonzero"] == 1
+
+
+_PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+
+
+@pytest.mark.parametrize("change, direction, bound, want", [
+    # 9 of 10 pairs better, median gap 1.0 past the parent's q3 - q1 of 0.175
+    ([11.0] * 9 + [9.0], "higher", 0.25, "gain"),
+    ([9.0] * 9 + [11.0], "lower", 0.05, "gain"),
+    ([11.0] * 8 + [9.0] * 2, "higher", 0.25, "unchanged"),  # 8 of 10 pairs
+    ([p + 0.05 for p in _PARENT], "higher", 0.25, "unchanged"),  # 10 of 10, gap 0.05
+    ([7.0] * 10, "higher", 0.25, "regression"),
+    ([10.6] * 10, "lower", 0.05, "regression"),
+    ([10.4] * 10, "lower", 0.05, "unchanged"),
+    # the parent's q3 - q1 of 0.175 exceeds a 1% bound, so "no worse" cannot be told
+    ([10.0] * 10, "higher", 0.01, "unresolved"),
+    ([10.31] * 5, "higher", 0.01, "unchanged"),  # every change run beats every parent run
+])
+def test_verdict_follows_the_pair_rules(change, direction, bound, want):
+    parent = _PARENT[:len(change)]
+    assert bench_pairs.verdict(parent, change, direction, bound) == want
 
 
 @pytest.mark.parametrize("values, want", [([3.0], [3.0, 3.0, 3.0]),

@@ -246,10 +246,18 @@ def test_delay_line_matches_operator_oracle(rng, m_cp):
             frame.t_slot]
     assert max(isi_ici._sample_lag(t, frame)[2] for t in taus) == frame.n_symbols
     symbols = isi_ici._read_symbols(pair, frame, frame.t_slot)
+    # a box that ends at the CP reads no previous symbol and builds no
+    # autocorrelation table: every probe's energy is sum ||X_k||^2
+    in_cp = [k for k, t in enumerate(taus) if t <= frame.t_cp]
+    cp_symbols = isi_ici._read_symbols(pair, frame, frame.t_cp)
+    assert cp_symbols.autocorr.shape == (frame.n_symbols, 1)
     for nu in (-0.7 * frame.delta_f, 0.0, 0.45 * frame.delta_f):
         line = isi_ici._delay_line(y_t, nu, frame, symbols)
         want = [tackled_objective(y, pair, frame, t, nu) for t in taus]
         np.testing.assert_allclose([line(t) for t in taus], want, rtol=1e-12, atol=0.0)
+        cp_line = isi_ici._delay_line(y_t, nu, frame, cp_symbols)
+        np.testing.assert_allclose([cp_line(taus[k]) for k in in_cp], [want[k] for k in in_cp],
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_delay_line_sets_up_once_per_lag(frame, rng, monkeypatch):
@@ -337,15 +345,85 @@ def test_coarse_scan_rejects_nodes_off_the_lattice_or_slot(frame, rng):
         _coarse_scan(y, pair, frame, np.array([frame.t_slot + d_tau]), np.zeros(1))
 
 
-def test_tackled_estimate_transient_memory_bound():
-    # one pass on the short-CP demo grid (M=1024, N=16, 3.84 MHz, 0-55 m,
-    # +-30 m/s: 2887 delay nodes x 1 Doppler node); the per-delay scan this
-    # replaced peaked at ~2.87e6 traced bytes here
-    frame = FrameConfig(1024, 16, 32, 3840e3, 0.3e12)
+def _count_cp_streams(monkeypatch):
+    real, calls = isi_ici._cp_stream, []
+
+    def spy(*args):
+        calls.append(args[2:])
+        return real(*args)
+
+    monkeypatch.setattr(isi_ici, "_cp_stream", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(32, 8, 8), (16, 4, 16)])
+@pytest.mark.parametrize("past_cp", [0, 1])
+def test_coarse_scan_path_follows_the_deepest_lag(rng, monkeypatch, shape, past_cp):
+    # a last lag of exactly m_cp is scanned per symbol, one sample more takes
+    # the overlap-save path through _cp_stream; both against the oracle over
+    # a Doppler span wider than the residue period K (20 and 16 nodes here)
+    m_sc, n_sym, m_cp = shape
+    frame = FrameConfig(m_sc, n_sym, 4, 1e6, 0.3e12, m_cp=m_cp)
+    pair = _random_pair(frame, rng)
+    y = 0.7 * apply_channel_operator(0.6 * frame.t_cp, 0.4 * frame.delta_f, pair, frame)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    d_tau = frame.t_symbol / (2 * m_sc)
+    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max=(2 * m_cp + past_cp) * d_tau,
+                                                nu_max=1.5 / frame.t_total)
+    assert (round(tau_grid[-1] / d_tau) + 1) // 2 == m_cp + past_cp
+    calls = _count_cp_streams(monkeypatch)
+    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    assert len(calls) == (2 if past_cp else 0)
+    objective = matched_objective(y, pair, frame)
+    direct = np.array([[objective(t, v) for v in nu_grid] for t in tau_grid])
+    np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
+
+
+def test_coarse_scan_of_a_silent_current_slot_is_zero_inside_the_cp(frame, rng):
+    # inside the CP only the current slot is read: zero energy on every node
+    # gives an all-zero scan (no 0/0) and a flat objective
+    pair = ExtendedTxPair(_random_pair(frame, rng).x_prev, np.zeros((32, 8), complex))
+    y = rng.standard_normal(32 * 8) + 1j * rng.standard_normal(32 * 8)
+    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, frame.t_cp, 0.5 * frame.delta_f)
+    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    assert scan.shape == (tau_grid.size, nu_grid.size) and np.all(scan == 0.0)
+    with pytest.raises(isi_ici.FlatObjectiveError):
+        tackled_estimate(y, pair, frame, frame.t_cp, 0.5 * frame.delta_f)
+
+
+def test_ici_shaped_scan_builds_no_cp_stream(monkeypatch):
+    # the ICI demo's grid (120 kHz, 0-40 m, +-55 m/s) ends at lag 33 of m_cp = 256
+    frame = FrameConfig(1024, 16, 32, 120e3, 0.3e12)
+    rng = np.random.default_rng(5)
+    pair = ExtendedTxPair(generate_symbols(frame, 1, rng)[0], generate_symbols(frame, 1, rng)[0])
+    y = apply_channel_operator(delay_of_range(30.0), doppler_of_velocity(50.0, frame.fc), pair,
+                               frame)
+    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, delay_of_range(40.0),
+                                                doppler_of_velocity(55.0, frame.fc))
+    assert (tau_grid.size, nu_grid.size) == (67, 73)
+    calls = _count_cp_streams(monkeypatch)
+    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    assert calls == []
+    i, j = np.unravel_index(np.argmax(scan), scan.shape)
+    assert abs(tau_grid[i] - delay_of_range(30.0)) <= frame.t_symbol / 2048
+
+
+@pytest.mark.parametrize("delta_f, max_range, max_speed, target, nu, bound", [
+    pytest.param(3840e3, 55.0, 30.0, 45.0, 1e3, 2.7e6, id="3840khz"),
+    pytest.param(120e3, 40.0, 55.0, 30.0, doppler_of_velocity(50.0, 0.3e12), 2.3e6, id="120khz"),
+    pytest.param(480e3, 55.0, 30.0, 45.0, 1e3, 2.3e6, id="480khz")])
+def test_tackled_estimate_transient_memory_bound(delta_f, max_range, max_speed, target, nu,
+                                                 bound):
+    # one pass on a demo grid (M=1024, N=16): the short-CP one (3.84 MHz,
+    # 2887 delay nodes x 1 Doppler node, overlap-save), the ICI one (120 kHz,
+    # 67 x 73) and the ISI demo's control (480 kHz, 363 x 11), both per
+    # symbol; the per-delay scan overlap-save replaced peaked at ~2.87e6
+    # traced bytes on the first
+    frame = FrameConfig(1024, 16, 32, delta_f, 0.3e12)
     rng = np.random.default_rng(11)
     pair = ExtendedTxPair(generate_symbols(frame, 1, rng)[0], generate_symbols(frame, 1, rng)[0])
-    tau_max, nu_max = delay_of_range(55.0), doppler_of_velocity(30.0, frame.fc)
-    y = 0.3 * apply_channel_operator(delay_of_range(45.0), 1e3, pair, frame)
+    tau_max, nu_max = delay_of_range(max_range), doppler_of_velocity(max_speed, frame.fc)
+    y = 0.3 * apply_channel_operator(delay_of_range(target), nu, pair, frame)
     y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
     tackled_estimate(y, pair, frame, tau_max, nu_max)
     tracemalloc.start()
@@ -354,7 +432,7 @@ def test_tackled_estimate_transient_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.7e6
+    assert peak <= bound
 
 
 def test_tackled_estimate_probe_count(monkeypatch):
@@ -376,6 +454,34 @@ def test_tackled_estimate_probe_count(monkeypatch):
                            doppler_of_velocity(30.0, frame.fc))
     assert 0 < len(probes) <= 80
     assert abs(est.tau_hat - tau) < 0.05 * frame.t_symbol / 1024
+
+
+@pytest.mark.parametrize("tau", [0.3, 2.6])
+def test_tackled_estimate_builds_a_line_only_when_its_held_coordinate_moves(
+        frame, rng, monkeypatch, tau):
+    # the start value and round 1 share the delay line at nu0; a later round
+    # rebuilds an axis's line only after the other coordinate moved
+    pair = _random_pair(frame, rng)
+    y = apply_channel_operator(tau * frame.t_total, 0.23 * frame.delta_f, pair, frame)
+    y = y + 0.2 * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size))
+    builds = {"delay": [], "doppler": []}
+    real_delay, real_doppler = isi_ici._delay_line, isi_ici._doppler_line
+
+    def delay_spy(y_t, nu, *args):
+        builds["delay"].append(nu)
+        return real_delay(y_t, nu, *args)
+
+    def doppler_spy(y_t, t, *args):
+        builds["doppler"].append(t)
+        return real_doppler(y_t, t, *args)
+
+    monkeypatch.setattr(isi_ici, "_delay_line", delay_spy)
+    monkeypatch.setattr(isi_ici, "_doppler_line", doppler_spy)
+    est = tackled_estimate(y, pair, frame, nu_max=0.5 * frame.delta_f)
+    assert abs(est.tau_hat - tau * frame.t_total) < 0.01 * frame.t_symbol / 32
+    for held in builds.values():
+        assert 1 <= len(held) <= 3
+        assert all(a != b for a, b in zip(held, held[1:]))
 
 
 def test_tackled_agrees_with_unaware_when_models_coincide(frame, rng):
