@@ -349,7 +349,7 @@ def _count_cp_streams(monkeypatch):
     real, calls = isi_ici._cp_stream, []
 
     def spy(*args):
-        calls.append(args[2:])
+        calls.append(args)
         return real(*args)
 
     monkeypatch.setattr(isi_ici, "_cp_stream", spy)
@@ -416,9 +416,9 @@ def test_tackled_estimate_transient_memory_bound(delta_f, max_range, max_speed, 
                                                  bound):
     # one pass on a demo grid (M=1024, N=16): the short-CP one (3.84 MHz,
     # 2887 delay nodes x 1 Doppler node, overlap-save), the ICI one (120 kHz,
-    # 67 x 73) and the ISI demo's control (480 kHz, 363 x 11), both per
-    # symbol; the per-delay scan overlap-save replaced peaked at ~2.87e6
-    # traced bytes on the first
+    # 67 x 73) and the ISI demo's control (480 kHz, 362 x 11), both scanned
+    # per symbol; the per-delay scan that overlap-save replaced peaked at
+    # ~2.87e6 traced bytes on the first
     frame = FrameConfig(1024, 16, 32, delta_f, 0.3e12)
     rng = np.random.default_rng(11)
     pair = ExtendedTxPair(generate_symbols(frame, 1, rng)[0], generate_symbols(frame, 1, rng)[0])
