@@ -11,9 +11,9 @@ import sys
 import time
 from pathlib import Path
 
-from thzisac.cli import main as cli_main
+from thzisac.cli import RUNNERS, main as cli_main
 
-EXPERIMENTS = ["tradeoff", "se-sweep", "beam-scan", "mc-rmse", "isi-demo", "ici-demo"]
+EXPERIMENTS = list(RUNNERS)
 
 
 def main():

@@ -11,7 +11,7 @@ import sys
 from . import experiments
 from .config import ConfigError, load_config
 
-_RUNNERS = {
+RUNNERS = {
     "tradeoff": experiments.run_tradeoff,
     "se-sweep": experiments.run_se_sweep,
     "beam-scan": experiments.run_beam_scan,
@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Terahertz joint sensing/communication transmit-design and "
                     "receiver-processing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_RUNNERS) + ["selftest"]:
+    for name in list(RUNNERS) + ["selftest"]:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         return 2
     if args.command == "selftest":
         return 0 if experiments.selftest() else 3
-    summary = _RUNNERS[args.command](cfg, args.out)
+    summary = RUNNERS[args.command](cfg, args.out)
     print(f"{args.command}: wrote results under {args.out}/")
     for key in sorted(summary)[:8]:
         print(f"  {key}: {summary[key]}")

@@ -152,9 +152,9 @@ class IsiDemoSpec:
     m_subcarriers: int = 1024
     delta_f_khz_control: float = 480.0
     delta_f_khz_isi: float = 3840.0
-    targets: list[TargetSpec] = field(default_factory=lambda: [
+    targets: list[TargetSpec] = _field(lambda: [
         TargetSpec(range_m=10.0, velocity_mps=5.0, snr_db=-10.0),
-        TargetSpec(range_m=45.0, velocity_mps=5.0, snr_db=-10.0)])
+        TargetSpec(range_m=45.0, velocity_mps=5.0, snr_db=-10.0)], nonempty=True)
     max_range_m: float = 55.0
     max_speed_mps: float = _field(30.0, ge=0)
 
@@ -165,10 +165,10 @@ class IciDemoSpec:
     delta_f_khz: float = 120.0
     velocity_control_mps: float = 5.0
     velocity_ici_mps: float = 50.0
-    targets: list[TargetSpec] = field(default_factory=lambda: [
+    targets: list[TargetSpec] = _field(lambda: [
         TargetSpec(range_m=10.0, velocity_mps=50.0, snr_db=-10.0),
         TargetSpec(range_m=20.0, velocity_mps=50.0, snr_db=-15.0),
-        TargetSpec(range_m=30.0, velocity_mps=50.0, snr_db=20.0)])
+        TargetSpec(range_m=30.0, velocity_mps=50.0, snr_db=20.0)], nonempty=True)
     max_range_m: float = 40.0
     max_speed_mps: float = _field(55.0, ge=0)
 

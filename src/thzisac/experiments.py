@@ -47,12 +47,23 @@ def write_csv(path: str, columns: list, rows: list, cfg: ExperimentConfig,
         fh.writelines(map(line, rows))
 
 
+def _json_ready(value):
+    """value with every non-finite float, at any depth, as None: strict JSON has no NaN."""
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_ready(v) for v in value]
+    return None if isinstance(value, (float, np.floating)) and not np.isfinite(value) else value
+
+
 def write_summary(path: str, payload: dict, cfg: ExperimentConfig, experiment: str):
+    """JSON summary with provenance keys; undefined (non-finite) values are written as null."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     payload = {"experiment": experiment, "config_sha": config_digest(cfg),
                "seed": cfg.seed, **payload}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_json_ready(payload), fh, indent=2, sort_keys=True, default=float,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -64,26 +75,39 @@ def _slot_nearest(codebook, azimuth_rad: float) -> int:
     return int(np.argmin(np.abs(codebook.direction_angles - azimuth_rad))) + 1
 
 
-def _comm_channel(cfg: ExperimentConfig, tx_geom, rx_geom, frame, rng):
+def _comm_draw(cfg: ExperimentConfig, experiment: str, r: int, frame, tx_geom, rx_geom):
+    """Draw r, (channel, *comm_design(channel)), from child_rng(seed, experiment, r)."""
     comm = cfg.comm
-    return ch.sample_comm_channel(tx_geom, rx_geom, frame, rng, comm.num_nlos,
-                                  comm.nlos_extra_loss_db,
+    chan = ch.sample_comm_channel(tx_geom, rx_geom, frame, child_rng(cfg.seed, experiment, r),
+                                  comm.num_nlos, comm.nlos_extra_loss_db,
                                   np.deg2rad(comm.path_spread_deg), comm.los_range_m)
+    return (chan, *precoding.comm_design(chan, cfg.arrays.n_streams))
 
 
 def _design_precoders(cfg: ExperimentConfig, comm, codebook, q: int, eta: float,
-                      n_closed: int, algorithm: str, rng, comm_analog=None):
-    arr = cfg.arrays
-    switch = arr.tx_switch(n_closed)
-    if algorithm == "vec":
-        sense_opt = precoding.optimal_sensing_precoder(codebook, q, arr.n_streams)
-        targets = precoding.PrecodingTargets(comm, sense_opt, eta)
-        return precoding.vec_hybrid_precoding(targets, switch, rng=rng)
-    if algorithm == "sca":
-        if comm_analog is None:
-            raise ValueError("SCA needs the communication-only analog precoder")
-        return precoding.sca_hybrid_precoding(comm, codebook, q, eta, comm_analog, switch)
-    raise ValueError(f"unknown algorithm '{algorithm}'")
+                      n_closed: int, rng):
+    """VEC hybrid precoders for slot q at weight eta on n_closed closed switches."""
+    sense_opt = precoding.optimal_sensing_precoder(codebook, q, cfg.arrays.n_streams)
+    targets = precoding.PrecodingTargets(comm, sense_opt, eta)
+    return precoding.vec_hybrid_precoding(targets, cfg.arrays.tx_switch(n_closed), rng=rng)
+
+
+def _draw_means(cfg: ExperimentConfig, experiment: str, frame, tx_geom, rx_geom,
+                rows_of) -> list:
+    """Rows (*key, *column means) over cfg.trials comm draws, sorted by key.
+
+    rows_of(r, comm, receiver, a_t_h, comm_opt) gives draw r's {key: values};
+    receiver is the rate's combiner side, to which each design adds A_t^H F[m].
+    """
+    acc = {}
+    for r in range(cfg.trials):
+        chan, comm_opt, comb_opt, comm = _comm_draw(cfg, experiment, r, frame, tx_geom, rx_geom)
+        receiver = precoding.combined_receiver(chan, comb_opt, 1.0)
+        a_t_h = chan.factors()[1].conj().T
+        for key, values in rows_of(r, comm, receiver, a_t_h, comm_opt).items():
+            acc.setdefault(key, []).append(values)
+    return [(*key, *(float(np.mean(col)) for col in zip(*vals)))
+            for key, vals in sorted(acc.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -98,48 +122,31 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str) -> dict:
     spec = cfg.tradeoff
     q = _slot_nearest(codebook, np.deg2rad(spec.sensing_azimuth_deg))
     rho = 10.0 ** (spec.snr_db / 10.0)
-    ns = cfg.arrays.n_streams
+    direction = np.array([codebook.direction_angles[q - 1]])
 
-    acc = {}
-
-    def one_realization(r):
-        rng = child_rng(cfg.seed, "tradeoff", r)
-        chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-        comm_opt, comb_opt, comm = precoding.comm_design(chan, ns)
-        # the rate's combiner side, once per realization; each design adds A_t^H F[m]
-        receiver = precoding.combined_receiver(chan, comb_opt, 1.0)
-        a_t_h = chan.factors()[1].conj().T
-        rows = {}
-        rows[("digital", 0, 1.0)] = (
-            receiver.rate(a_t_h @ comm_opt, rho),
-            float(precoding.transmit_beampattern(
-                None, comm_opt,
-                np.array([codebook.direction_angles[q - 1]]), tx_geom)[0]))
+    def rows_of(r, comm, receiver, a_t_h, comm_opt):
+        rows = {("digital", 0, 1.0): (receiver.rate(a_t_h @ comm_opt, rho), float(
+            precoding.transmit_beampattern(None, comm_opt, direction, tx_geom)[0]))}
         for n_c in spec.structures:
-            comm_only = None
+            if "sca" in spec.algorithms:
+                # SCA updates the comm-only (eta = 1) VEC analog precoder
+                comm_only = _design_precoders(cfg, comm, codebook, q, 1.0, n_c,
+                                              child_rng(cfg.seed, "tradeoff", r, n_c)).analog
             for algorithm in spec.algorithms:
                 for eta in spec.eta_grid:
-                    if algorithm == "sca" and comm_only is None:
-                        comm_only = _design_precoders(
-                            cfg, comm, codebook, q, 1.0, n_c, "vec",
-                            child_rng(cfg.seed, "tradeoff", r, n_c)).analog
-                    pre = _design_precoders(
-                        cfg, comm, codebook, q, eta, n_c, algorithm,
-                        child_rng(cfg.seed, "tradeoff", r, n_c, spec.eta_grid.index(eta)),
-                        comm_analog=comm_only)
+                    if algorithm == "sca":
+                        pre = precoding.sca_hybrid_precoding(comm, codebook, q, eta, comm_only,
+                                                             cfg.arrays.tx_switch(n_c))
+                    else:
+                        pre = _design_precoders(
+                            cfg, comm, codebook, q, eta, n_c,
+                            child_rng(cfg.seed, "tradeoff", r, n_c, spec.eta_grid.index(eta)))
                     rows[(algorithm, n_c, eta)] = (
                         receiver.rate(pre.beam_response(a_t_h), rho),
                         precoding.sensing_gain_dbi(pre, codebook, q, tx_geom))
         return rows
 
-    for r in range(cfg.trials):
-        for key, (se, gain) in one_realization(r).items():
-            acc.setdefault(key, []).append((se, gain))
-
-    out_rows = []
-    for (algorithm, n_c, eta), vals in sorted(acc.items()):
-        ses, gains = zip(*vals)
-        out_rows.append((algorithm, n_c, eta, float(np.mean(ses)), float(np.mean(gains))))
+    out_rows = _draw_means(cfg, "tradeoff", frame, tx_geom, rx_geom, rows_of)
     columns = ["algorithm", "n_closed", "eta", "spectral_efficiency_bits", "sensing_gain_dbi"]
     write_csv(os.path.join(out_dir, "tradeoff.csv"), columns, out_rows, cfg, "tradeoff")
 
@@ -164,42 +171,27 @@ def run_se_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     codebook = dft_codebook(tx_geom)
     spec = cfg.se_sweep
     q = _slot_nearest(codebook, np.deg2rad(spec.sensing_azimuth_deg))
-    ns = cfg.arrays.n_streams
 
-    acc = {}
-
-    def one_realization(r):
-        rng = child_rng(cfg.seed, "se-sweep", r)
-        chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-        comm_opt, comb_opt, comm = precoding.comm_design(chan, ns)
-        receiver = precoding.combined_receiver(chan, comb_opt, 1.0)
-        a_t_h = chan.factors()[1].conj().T
+    def rows_of(r, comm, receiver, a_t_h, comm_opt):
         designs = {("digital", 0, 1.0): a_t_h @ comm_opt}
         for n_c in spec.structures:
             for eta in spec.etas:
-                pre = _design_precoders(cfg, comm, codebook, q, eta, n_c, "vec",
+                pre = _design_precoders(cfg, comm, codebook, q, eta, n_c,
                                         child_rng(cfg.seed, "se-sweep", r, n_c,
                                                   spec.etas.index(eta)))
                 designs[("vec", n_c, eta)] = pre.beam_response(a_t_h)
-        return {(*key, snr): receiver.rate(tx_paths, 10.0 ** (snr / 10.0))
+        return {(*key, snr): (receiver.rate(tx_paths, 10.0 ** (snr / 10.0)),)
                 for key, tx_paths in designs.items() for snr in spec.snr_grid_db}
 
-    for r in range(cfg.trials):
-        for key, se in one_realization(r).items():
-            acc.setdefault(key, []).append(se)
-
-    out_rows = [(alg, n_c, eta, snr, float(np.mean(v)))
-                for (alg, n_c, eta, snr), v in sorted(acc.items())]
+    out_rows = _draw_means(cfg, "se-sweep", frame, tx_geom, rx_geom, rows_of)
     columns = ["algorithm", "n_closed", "eta", "snr_db", "spectral_efficiency_bits"]
     write_csv(os.path.join(out_dir, "se_sweep.csv"), columns, out_rows, cfg, "se-sweep")
 
     fc = max(spec.structures)
-    def _lookup(eta, snr):
-        return next((se for alg, n_c, e, s, se in out_rows
-                     if alg == "vec" and n_c == fc and e == eta and s == snr), None)
+    vec_fc = {(eta, snr): se for alg, n_c, eta, snr, se in out_rows if alg == "vec" and n_c == fc}
     drop = None
-    if 1.0 in spec.etas and 0.6 in spec.etas and -30 in spec.snr_grid_db:
-        drop = _lookup(1.0, -30) - _lookup(0.6, -30)
+    if (1.0, -30) in vec_fc and (0.6, -30) in vec_fc:
+        drop = vec_fc[1.0, -30] - vec_fc[0.6, -30]
     summary = {"fc_structure": fc, "se_drop_eta06_at_m30db_bits": drop,
                "rows": len(out_rows)}
     write_summary(os.path.join(out_dir, "se_sweep_summary.json"), summary, cfg, "se-sweep")
@@ -216,33 +208,27 @@ def run_beam_scan(cfg: ExperimentConfig, out_dir: str) -> dict:
     tx_geom, rx_geom = cfg.arrays.tx_geom(), cfg.arrays.rx_geom()
     codebook = dft_codebook(tx_geom)
     spec = cfg.beam_scan
-    ns = cfg.arrays.n_streams
-    rng = child_rng(cfg.seed, "beam-scan", 0)
-    chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng)
-    _, _, comm = precoding.comm_design(chan, ns)
+    chan, _, _, comm = _comm_draw(cfg, "beam-scan", 0, frame, tx_geom, rx_geom)
     angles_deg = np.arange(-90.0, 90.0 + spec.angle_step_deg / 2, spec.angle_step_deg)
     angles = np.deg2rad(angles_deg)
     los_aod = chan.paths[0].aod[0]
 
-    rows = []
-    per_slot = {}
-    comm_gain_per_slot = []
+    rows, per_slot, comm_gain_per_slot = [], {}, []
     for q in spec.slots:
         pre = _design_precoders(cfg, comm, codebook, q, spec.eta, spec.n_closed,
-                                "vec", child_rng(cfg.seed, "beam-scan", q))
+                                child_rng(cfg.seed, "beam-scan", q))
         pattern = precoding.transmit_beampattern(pre.analog, pre.digital, angles, tx_geom)
         rows.extend((q, round(a, 6), g) for a, g in zip(angles_deg, pattern))
         window = sensing_window(q, tx_geom)
         peak_idx = int(np.argmax(pattern))
-        sense_gain = precoding.sensing_gain_dbi(pre, codebook, q, tx_geom)
-        in_window = window.lo - 1e-9 <= angles[peak_idx] <= window.hi + 1e-9
         comm_gain = float(precoding.transmit_beampattern(
             pre.analog, pre.digital, np.array([los_aod]), tx_geom)[0])
         comm_gain_per_slot.append(comm_gain)
         per_slot[q] = {"window_deg": [np.rad2deg(window.lo), np.rad2deg(window.hi)],
                        "peak_angle_deg": float(angles_deg[peak_idx]),
-                       "peak_in_window": bool(in_window),
-                       "sensing_gain_dbi": sense_gain,
+                       "peak_in_window": bool(window.lo - 1e-9 <= angles[peak_idx]
+                                              <= window.hi + 1e-9),
+                       "sensing_gain_dbi": precoding.sensing_gain_dbi(pre, codebook, q, tx_geom),
                        "comm_lobe_gain_dbi": comm_gain}
     columns = ["slot", "angle_deg", "gain_dbi"]
     write_csv(os.path.join(out_dir, "beam_scan.csv"), columns, rows, cfg, "beam-scan")
@@ -290,10 +276,8 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
     arr = cfg.arrays
     tx_geom, rx_geom = arr.tx_geom(), arr.rx_geom()
     codebook = dft_codebook(tx_geom)
-    ns = arr.n_streams
-    rng0 = child_rng(cfg.seed, "mc-rmse", 0)
-    chan = _comm_channel(cfg, tx_geom, rx_geom, frame, rng0)
-    _, _, comm = precoding.comm_design(chan, ns)
+    ns, rx_switch = arr.n_streams, arr.rx_switch()
+    _, _, _, comm = _comm_draw(cfg, "mc-rmse", 0, frame, tx_geom, rx_geom)
 
     # group targets by the slot whose scan illuminates them
     slot_map = {}
@@ -301,13 +285,11 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
         q = slot_for_angle(np.deg2rad(t.azimuth_deg), tx_geom)
         slot_map.setdefault(q, []).append(t)
 
-    rx_switch = arr.rx_switch()
-
     # what each slot's trials share: precoders, the targets' transmit gains
     # under them, the mirrored search window and MUSIC's grid over it
     slots = {}
     for q, specs in sorted(slot_map.items()):
-        pre = _design_precoders(cfg, comm, codebook, q, spec.eta, spec.n_closed, "vec",
+        pre = _design_precoders(cfg, comm, codebook, q, spec.eta, spec.n_closed,
                                 child_rng(cfg.seed, "mc-rmse", q, 0))
         azimuths = [np.deg2rad(t.azimuth_deg) for t in specs]
         search = sensing_window(q, tx_geom).mirrored()
@@ -341,8 +323,7 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
                                est.velocity_hat - tgt.velocity_mps))
         return errors
 
-    rows = []
-    summary_pts = {}
+    rows, summary_pts = [], {}
     for i_snr, snr_db in enumerate(spec.snr_grid_db):
         e = np.array([err for trial in range(cfg.trials)
                       for err in one_trial(i_snr, snr_db, trial)])
@@ -377,91 +358,86 @@ def run_mc_rmse(cfg: ExperimentConfig, out_dir: str) -> dict:
 # ISI / ICI demos
 # ---------------------------------------------------------------------------
 
-def _collapsed_scene(target_specs, noise_power, rng):
-    targets = [ch.SensingTarget(range_m=t.range_m, velocity_mps=t.velocity_mps,
-                                azimuth=0.0, effective_snr_db=t.snr_db)
-               for t in target_specs]
-    scene = ch.SensingScene(targets=targets, noise_power=noise_power)
-    return isi_ici.resolve_collapsed_coeffs(scene, rng)
+def _isi_ici_scenario(cfg, experiment, frame, target_specs, label, index, spec):
+    """Run one demo scenario: per-trial tackled SIC and unaware peak-picking.
 
-
-def _isi_ici_scenario(cfg, exp_name, frame, target_specs, out_rows, prof_rows,
-                      scenario, spec):
-    """Run one demo scenario: per-trial tackled SIC and unaware peak-picking."""
+    Returns (estimate rows, trial 0's profile rows, summary of range errors).
+    """
     tau_max = ch.delay_of_range(spec.max_range_m)
     nu_max = ch.doppler_of_velocity(spec.max_speed_mps, frame.fc)
-    p_count = len(target_specs)
-
-    def one_trial(trial):
-        rng = child_rng(cfg.seed, exp_name, scenario["index"], trial)
-        x_prev = generate_symbols(frame, 1, rng)[0]
-        x_curr = generate_symbols(frame, 1, rng)[0]
-        pair = isi_ici.ExtendedTxPair(x_prev=x_prev, x_curr=x_curr)
-        scene = _collapsed_scene(target_specs, 1.0, rng)
-        y = isi_ici.isi_ici_rx(scene, pair, frame, rng)
-        tackled = [est for est, _ in isi_ici.successive_cancellation(
-            y, pair, frame, p_count, tau_max, nu_max)]
-        unaware = [est for est, _ in isi_ici.unaware_successive_cancellation(
-            y, pair, frame, p_count, tau_max)]
-        return pair, y, tackled, unaware
-
-    results = [one_trial(trial) for trial in range(cfg.trials)]
     true_ranges = [t.range_m for t in target_specs]
-    errs = {"tackled": {r: [] for r in true_ranges},
-            "unaware": {r: [] for r in true_ranges}}
-    for trial, (pair, y, tackled, unaware) in enumerate(results):
+    # the spatially collapsed scene; each trial draws its coefficients' phases
+    scene = ch.SensingScene(targets=[
+        ch.SensingTarget(range_m=t.range_m, velocity_mps=t.velocity_mps, azimuth=0.0,
+                         effective_snr_db=t.snr_db) for t in target_specs], noise_power=1.0)
+    errs = {name: {r: [] for r in true_ranges} for name in ("tackled", "unaware")}
+    rows, profiles = [], []
+    for trial in range(cfg.trials):
+        rng = child_rng(cfg.seed, experiment, index, trial)
+        pair = isi_ici.ExtendedTxPair(x_prev=generate_symbols(frame, 1, rng)[0],
+                                      x_curr=generate_symbols(frame, 1, rng)[0])
+        y = isi_ici.isi_ici_rx(isi_ici.resolve_collapsed_coeffs(scene, rng), pair, frame, rng)
+        tackled = [est for est, _ in isi_ici.successive_cancellation(
+            y, pair, frame, len(true_ranges), tau_max, nu_max)]
+        unaware = [est for est, _ in isi_ici.unaware_successive_cancellation(
+            y, pair, frame, len(true_ranges), tau_max)]
         for name, ests in (("tackled", tackled), ("unaware", unaware)):
             nearest = _greedy_match(true_ranges, ests, lambda r, e: abs(e.range_hat - r))
             for r, est in zip(true_ranges, nearest):
                 err = abs(est.range_hat - r) if est is not None else np.inf
                 errs[name][r].append(err)
-                out_rows.append((scenario["label"], trial, name, r,
-                                 est.range_hat if est else np.nan,
-                                 est.velocity_hat if est else np.nan, err))
+                rows.append((label, trial, name, r, est.range_hat if est else np.nan,
+                             est.velocity_hat if est else np.nan, err))
+        if trial == 0:
+            # range profiles; the tackled one comes with the first cancellation
+            # pass, which scanned y itself
+            taus, unaware_prof = isi_ici.unaware_range_profile(y, pair, frame, tau_max)
+            prof_u = unaware_prof.max(axis=1)
+            t_nodes, prof_t = tackled[0].range_profile
+            for estimator, nodes, prof in (("unaware", taus, prof_u / prof_u.max()),
+                                           ("tackled", t_nodes, prof_t / prof_t.max())):
+                profiles += [(label, estimator, ch.range_of_delay(t), v)
+                             for t, v in zip(nodes, prof)]
 
-    # range profiles from the first trial; the tackled one comes with the
-    # first cancellation pass, which scanned y itself
-    pair, y, tackled, _ = results[0]
-    taus, unaware_prof = isi_ici.unaware_range_profile(y, pair, frame, tau_max)
-    prof_u = unaware_prof.max(axis=1)
-    prof_u /= prof_u.max()
-    if tackled:
-        t_nodes, prof_t = tackled[0].range_profile
-    else:
-        t_nodes, prof_t = isi_ici.tackled_range_profile(y, pair, frame, tau_max, nu_max)
-    prof_t = prof_t / prof_t.max()
-    for t, v in zip(taus, prof_u):
-        prof_rows.append((scenario["label"], "unaware", ch.range_of_delay(t), v))
-    for t, v in zip(t_nodes, prof_t):
-        prof_rows.append((scenario["label"], "tackled", ch.range_of_delay(t), v))
+    return rows, profiles, {
+        name: {str(r): {"max_abs_error_m": float(np.max(v)),
+                        "median_abs_error_m": float(np.median(v))}
+               for r, v in per.items()}
+        for name, per in errs.items()}
 
-    return {name: {str(r): {"max_abs_error_m": float(np.max(v)),
-                            "median_abs_error_m": float(np.median(v))}
-                   for r, v in per.items()}
-            for name, per in errs.items()}
+
+def _run_demo(cfg: ExperimentConfig, out_dir: str, experiment: str, spec, scenarios,
+              summary: dict) -> dict:
+    """Run the (label, frame, targets) scenarios and write the demo's CSVs and summary.
+
+    Each scenario's errors go under its label, ahead of the demo's own keys there.
+    """
+    est_rows, prof_rows = [], []
+    for index, (label, frame, targets) in enumerate(scenarios):
+        rows, profiles, errors = _isi_ici_scenario(cfg, experiment, frame, targets,
+                                                   label, index, spec)
+        est_rows += rows
+        prof_rows += profiles
+        summary[label] = {**errors, **summary.get(label, {})}
+    stem = os.path.join(out_dir, experiment.replace("-", "_"))
+    write_csv(stem + "_estimates.csv", ["scenario", "trial", "estimator", "true_range_m",
+              "est_range_m", "est_velocity_mps", "abs_range_error_m"], est_rows, cfg, experiment)
+    write_csv(stem + "_profiles.csv", ["scenario", "estimator", "range_m", "normalized_profile"],
+              prof_rows, cfg, experiment)
+    write_summary(stem + "_summary.json", summary, cfg, experiment)
+    return summary
 
 
 def run_isi_demo(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Delay-beyond-CP study: control numerology versus short-CP numerology."""
     spec = cfg.isi_demo
-    out_rows, prof_rows, summary = [], [], {}
-    for index, (label, df_khz) in enumerate(
-            [("control_480khz", spec.delta_f_khz_control),
-             ("isi_3840khz", spec.delta_f_khz_isi)]):
-        frame = cfg.frame.to_frame(m_subcarriers=spec.m_subcarriers, delta_f_khz=df_khz)
-        summary[label] = _isi_ici_scenario(
-            cfg, "isi-demo", frame, spec.targets, out_rows, prof_rows,
-            {"label": label, "index": index}, spec)
-        summary[label]["cp_limited_range_m"] = isi_ici.cp_limited_range(frame)
-    write_csv(os.path.join(out_dir, "isi_demo_estimates.csv"),
-              ["scenario", "trial", "estimator", "true_range_m", "est_range_m",
-               "est_velocity_mps", "abs_range_error_m"],
-              out_rows, cfg, "isi-demo")
-    write_csv(os.path.join(out_dir, "isi_demo_profiles.csv"),
-              ["scenario", "estimator", "range_m", "normalized_profile"],
-              prof_rows, cfg, "isi-demo")
-    write_summary(os.path.join(out_dir, "isi_demo_summary.json"), summary, cfg, "isi-demo")
-    return summary
+    frames = {label: cfg.frame.to_frame(m_subcarriers=spec.m_subcarriers, delta_f_khz=df_khz)
+              for label, df_khz in (("control_480khz", spec.delta_f_khz_control),
+                                    ("isi_3840khz", spec.delta_f_khz_isi))}
+    return _run_demo(cfg, out_dir, "isi-demo", spec,
+                     [(label, frame, spec.targets) for label, frame in frames.items()],
+                     {label: {"cp_limited_range_m": isi_ici.cp_limited_range(frame)}
+                      for label, frame in frames.items()})
 
 
 def run_ici_demo(cfg: ExperimentConfig, out_dir: str) -> dict:
@@ -469,24 +445,12 @@ def run_ici_demo(cfg: ExperimentConfig, out_dir: str) -> dict:
     spec = cfg.ici_demo
     frame = cfg.frame.to_frame(m_subcarriers=spec.m_subcarriers,
                                delta_f_khz=spec.delta_f_khz)
-    out_rows, prof_rows, summary = [], [], {}
-    for index, (label, v) in enumerate([("control_v5", spec.velocity_control_mps),
-                                        ("ici_v50", spec.velocity_ici_mps)]):
-        targets = [dataclasses.replace(t, velocity_mps=v) for t in spec.targets]
-        summary[label] = _isi_ici_scenario(
-            cfg, "ici-demo", frame, targets, out_rows, prof_rows,
-            {"label": label, "index": index}, spec)
-    summary["doppler_v50_hz"] = ch.doppler_of_velocity(spec.velocity_ici_mps, frame.fc)
-    summary["delta_f_hz"] = frame.delta_f
-    write_csv(os.path.join(out_dir, "ici_demo_estimates.csv"),
-              ["scenario", "trial", "estimator", "true_range_m", "est_range_m",
-               "est_velocity_mps", "abs_range_error_m"],
-              out_rows, cfg, "ici-demo")
-    write_csv(os.path.join(out_dir, "ici_demo_profiles.csv"),
-              ["scenario", "estimator", "range_m", "normalized_profile"],
-              prof_rows, cfg, "ici-demo")
-    write_summary(os.path.join(out_dir, "ici_demo_summary.json"), summary, cfg, "ici-demo")
-    return summary
+    scenarios = [(label, frame, [dataclasses.replace(t, velocity_mps=v) for t in spec.targets])
+                 for label, v in (("control_v5", spec.velocity_control_mps),
+                                  ("ici_v50", spec.velocity_ici_mps))]
+    return _run_demo(cfg, out_dir, "ici-demo", spec, scenarios,
+                     {"doppler_v50_hz": ch.doppler_of_velocity(spec.velocity_ici_mps, frame.fc),
+                      "delta_f_hz": frame.delta_f})
 
 
 # ---------------------------------------------------------------------------
@@ -495,14 +459,14 @@ def run_ici_demo(cfg: ExperimentConfig, out_dir: str) -> dict:
 
 def selftest(verbose: bool = True) -> bool:
     """Fast invariant suite on small fixed geometries, frames and precoders."""
-    from .geometry import UpaGeometry, dft_codebook as _cb
+    from .geometry import UpaGeometry
     from .waveform import FrameConfig, ofdm_demodulate, ofdm_modulate
 
     checks = []
     rng = np.random.default_rng(7)
 
     geom = UpaGeometry(8, 8)
-    cb = _cb(geom)
+    cb = dft_codebook(geom)
     gram = cb.columns.conj().T @ cb.columns
     checks.append(("codebook_orthonormal",
                    np.linalg.norm(gram - np.eye(geom.w_count)) < 1e-10))

@@ -115,8 +115,12 @@ def _sample_lag(tau: float, frame: FrameConfig) -> tuple:
         raise ValueError(f"delay {tau} outside [0, slot duration {frame.t_slot}]")
     shift = tau * frame.m_subcarriers * frame.delta_f
     lag = int(np.ceil(shift - 1e-9))
-    n_prev = -(-max(0, lag - frame.m_cp) // (frame.m_subcarriers + frame.m_cp))
-    return lag, max(0.0, lag - shift), n_prev
+    return lag, max(0.0, lag - shift), _symbols_back(lag, frame)
+
+
+def _symbols_back(lag: int, frame: FrameConfig) -> int:
+    """How many previous-slot symbols a lag of that many whole samples reaches into."""
+    return -(-max(0, lag - frame.m_cp) // (frame.m_subcarriers + frame.m_cp))
 
 
 def _delayed_rows(tau: float, pair: ExtendedTxPair, frame: FrameConfig) -> np.ndarray:
@@ -382,7 +386,7 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     fft_len = _fast_fft_len(-(-span // n_blk) + lag_max)
     blk_len = fft_len - lag_max
     n_blk = -(-span // blk_len)
-    n_prev = -(-max(0, lag_max - m_cp) // p_len)
+    n_prev = _symbols_back(lag_max, frame)
     rx_first = (n_prev + np.arange(n_sym)) * p_len + m_cp
     spectra, den = [], np.zeros(i_nodes.size)
     for h, (sel, lag_h) in enumerate(by_phase):
@@ -529,9 +533,9 @@ def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
                           tau_max: float, nu_max: float):
     """Per-delay maximum of the tackled objective over the Doppler grid.
 
-    Returns (tau_nodes, profile) on the coarse half-bin delay lattice; used to
-    render range profiles next to the unaware ones. tackled_estimate carries
-    the same pair for its own input as TackledEstimate.range_profile.
+    Returns (tau_nodes, profile) on the coarse half-bin delay lattice by
+    rescanning y. The demos render TackledEstimate.range_profile instead, the
+    same pair that tackled_estimate keeps for its own input.
     """
     _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
     prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)

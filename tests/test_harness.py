@@ -79,6 +79,8 @@ def test_validation_errors():
     for data, message in (
             ({"scene": {"noise_power": -1}}, "scene.noise_power must be > 0, got -1"),
             ({"scene": {"targets": []}}, "scene.targets must not be empty"),
+            ({"isi_demo": {"targets": []}}, "isi_demo.targets must not be empty"),
+            ({"ici_demo": {"targets": []}}, "ici_demo.targets must not be empty"),
             ({"mc_rmse": {"delta_f_khz": 0}}, "mc_rmse: delta_f and fc must be positive"),
             ({"arrays": {"n_rf_tx": 0}}, "arrays.n_rf_tx must be >= 1, got 0"),
             ({"beam_scan": {"slots": []}}, "beam_scan.slots must not be empty"),
@@ -278,6 +280,40 @@ def test_mc_rmse_output(tmp_path):
     assert pt["n_detected"] >= 1
     lines = (tmp_path / "mc_rmse.csv").read_text().splitlines()
     assert lines[1].startswith("snr_db,angle_rmse_deg")
+
+
+def test_summary_without_detections_is_strict_json(tmp_path):
+    # a 1.5 kHz spacing leaves the target undetected, so its RMSEs are undefined:
+    # NaN in the CSV, null in the summary, and never a bare NaN token
+    cfg = _tiny_config(trials=1)
+    cfg.mc_rmse.delta_f_khz = 1.5
+    experiments.run_mc_rmse(cfg, str(tmp_path))
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    data = json.loads((tmp_path / "mc_rmse_summary.json").read_text(), parse_constant=reject)
+    pt = data["points"]["10.0"]
+    assert pt["n_detected"] == 0
+    assert pt["angle_rmse_deg"] is None and pt["velocity_rmse_mps"] is None
+    row = (tmp_path / "mc_rmse.csv").read_text().splitlines()[2].split(",")
+    assert row[1:4] == ["nan", "nan", "nan"]
+
+
+def test_sca_rows_do_not_depend_on_vec_rows(tmp_path):
+    # SCA starts from its own comm-only VEC analog precoder, whichever
+    # algorithms run beside it
+    def rows(algorithms):
+        cfg = _tiny_config(trials=1)
+        cfg.tradeoff.algorithms = algorithms
+        out = tmp_path / "-".join(algorithms)
+        experiments.run_tradeoff(cfg, str(out))
+        return [r for r in (out / "tradeoff.csv").read_text().splitlines()[2:]
+                if r.startswith("sca,")]
+
+    sca_alone = rows(["sca"])
+    assert len(sca_alone) == 3
+    assert sca_alone == rows(["vec", "sca"])
 
 
 def test_beam_scan_single_stream(tmp_path):
