@@ -35,7 +35,6 @@ class AngularWindow:
 
     lo: float
     hi: float
-    slot_index: int
 
     def __post_init__(self):
         if not self.lo < self.hi:
@@ -43,7 +42,7 @@ class AngularWindow:
 
     def mirrored(self) -> "AngularWindow":
         """Window negated about broadside (the set -[lo, hi])."""
-        return AngularWindow(-self.hi, -self.lo, self.slot_index)
+        return AngularWindow(-self.hi, -self.lo)
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def sensing_window(q: int, geom: UpaGeometry) -> AngularWindow:
         raise ValueError(f"slot index q={q} outside 1..{w_count}")
     lo = float(np.arcsin(-1.0 + (q - 1) * 2.0 / w_count))
     hi = float(np.arcsin(-1.0 + q * 2.0 / w_count))
-    return AngularWindow(lo=lo, hi=hi, slot_index=q)
+    return AngularWindow(lo=lo, hi=hi)
 
 
 def slot_for_angle(theta: float, geom: UpaGeometry, mirror: bool = True) -> int:

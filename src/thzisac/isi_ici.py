@@ -331,22 +331,15 @@ def _fast_fft_len(n: int) -> int:
     return best
 
 
-def _lattice_index(grid: np.ndarray, step: float, name: str) -> np.ndarray:
-    """Integer node indices of grid on the lattice step * k; off-lattice raises."""
-    idx = np.round(grid / step).astype(int)
-    if not np.allclose(idx * step, grid, rtol=0, atol=step * 1e-9):
-        raise ValueError(f"{name} grid must lie on the half-bin lattice")
-    return idx
+def _coarse_scan(y_t: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
+                 i_nodes: np.ndarray, j_nodes: np.ndarray):
+    """Evaluate the tackled objective of y_t = _rx_samples(y) on half-bin lattice nodes.
 
-
-def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
-                 tau_grid: np.ndarray, nu_grid: np.ndarray):
-    """Evaluate the tackled objective on the half-bin grid by FFT cross-correlation.
-
-    With P = M + m_cp samples of T/M per symbol, delay node i = tau / (T/(2M))
-    reads the serialized transmit stream of the two slots at half-sample phase
-    i % 2, (i + 1) // 2 samples back. Two regimes, chosen from the deepest lag
-    of the grid once it has been checked against the lattice and the slot:
+    The nodes are _half_bin_grid's integers: Doppler node j at j / (2 N T_o),
+    and delay node i at i T/(2M). With P = M + m_cp samples of T/M per symbol,
+    node i reads the serialized transmit stream of the two slots at half-sample
+    phase i % 2, (i + 1) // 2 samples back. Two regimes by FFT cross-correlation,
+    chosen from the deepest lag once the nodes have been checked against the slot:
 
     - Deepest lag <= m_cp: every receive symbol reads a cyclic shift of one
       current-slot symbol, and the scan runs per symbol in the frequency
@@ -363,18 +356,14 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     """
     m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
     p_len = m_sc + m_cp
-    i_nodes = _lattice_index(tau_grid, frame.t_symbol / (2 * m_sc), "delay")
-    d_nu = 1.0 / (2 * n_sym * frame.t_total)
-    j_nodes = _lattice_index(nu_grid, d_nu, "Doppler")
-    out = np.zeros((tau_grid.size, nu_grid.size))
-    if out.size == 0:
-        return out
     if i_nodes.min() < 0 or i_nodes.max() > 2 * n_sym * p_len:
         raise ValueError("delay grid outside [0, slot duration]")
     lags = (i_nodes + 1) // 2
     lag_max = int(lags.max())
     if lag_max <= m_cp:
-        return _scan_in_cp(y, pair.x_curr, frame, i_nodes, j_nodes)
+        return _scan_in_cp(y_t, pair.x_curr, frame, i_nodes, j_nodes)
+    d_nu = 1.0 / (2 * n_sym * frame.t_total)
+    out = np.zeros((i_nodes.size, j_nodes.size))
     by_phase = [(sel, lags[sel]) for sel in (i_nodes % 2 == 0, i_nodes % 2 == 1)]
 
     # receive samples m_cp .. N*P-1 of the slot in n_blk blocks of blk_len; the
@@ -408,7 +397,7 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     rx = np.zeros((n_blk, fft_len), dtype=complex)
     body = rx[:, lag_max:]
     flat = np.zeros(n_blk * blk_len + m_cp, dtype=complex)
-    flat[:n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc] = _rx_samples(y, frame)
+    flat[:n_sym * p_len].reshape(n_sym, p_len)[:, :m_sc] = y_t
     body[...] = flat[:n_blk * blk_len].reshape(n_blk, blk_len)
     del flat
     acc = np.empty(fft_len, dtype=complex)
@@ -434,9 +423,9 @@ def _coarse_scan(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     return out
 
 
-def _scan_in_cp(y: np.ndarray, x_curr: np.ndarray, frame: FrameConfig, i_nodes: np.ndarray,
+def _scan_in_cp(y_t: np.ndarray, x_curr: np.ndarray, frame: FrameConfig, i_nodes: np.ndarray,
                 j_nodes: np.ndarray) -> np.ndarray:
-    """_coarse_scan on delay nodes i whose lag (i + 1) // 2 is at most m_cp.
+    """_coarse_scan of the receive samples y_t on nodes i whose lag (i + 1) // 2 is <= m_cp.
 
     Row n then reads current-slot symbol n cyclically shifted by i/2 samples,
     so with G_j[n] = FFT_M(y_t[n] * e^{-2 pi i j (m_cp + m) / (2NP)}):
@@ -457,7 +446,6 @@ def _scan_in_cp(y: np.ndarray, x_curr: np.ndarray, frame: FrameConfig, i_nodes: 
     k_res, bins = period // np.gcd(period, m_sc), m_sc // np.gcd(period, m_sc)
     sample_rate = -2j * np.pi * (m_cp + np.arange(m_sc)) / period
     symbol_rate = -1j * np.pi * np.arange(n_sym) / n_sym
-    y_t = _rx_samples(y, frame)
     x_conj = np.ascontiguousarray(x_curr.T.conj())
     prod = np.empty((n_sym, m_sc), dtype=complex)
     residues = j_nodes % k_res
@@ -479,18 +467,21 @@ def _scan_in_cp(y: np.ndarray, x_curr: np.ndarray, frame: FrameConfig, i_nodes: 
 def _half_bin_grid(frame: FrameConfig, tau_max: float = None, nu_max: float = None):
     """Coarse half-bin lattice of the tackled scan.
 
-    Delay nodes step T/(2M) over [0, min(tau_max, T_slot)], Doppler nodes
-    1/(2*N*T_o) over [-nu_max, nu_max]; the defaults are the full slot and half
-    the symbol rate. Returns (d_tau, d_nu, tau_grid, j_max, nu_grid).
+    Returns (d_tau, d_nu, i_nodes, j_nodes): integer nodes (i, j) at (i d_tau, j d_nu),
+    d_tau = T/(2M) over [0, min(tau_max, T_slot)] and d_nu = 1/(2*N*T_o) over
+    [-nu_max, nu_max]. The defaults are the full slot and half the symbol rate;
+    a negative bound raises.
     """
+    if min(tau_max or 0.0, nu_max or 0.0) < 0:
+        raise ValueError(f"negative search bound: tau_max={tau_max}, nu_max={nu_max}")
     tau_max = frame.t_slot if tau_max is None else min(tau_max, frame.t_slot)
     nu_max = 1.0 / (2 * frame.t_total) if nu_max is None else nu_max
     d_tau = frame.t_symbol / (2 * frame.m_subcarriers)
     d_nu = 1.0 / (2 * frame.n_symbols * frame.t_total)
-    tau_grid = np.arange(0.0, tau_max + d_tau / 2, d_tau)
+    # as many delay nodes as np.arange(0.0, tau_max + d_tau / 2, d_tau) holds
+    i_nodes = np.arange(int(np.ceil((tau_max + d_tau / 2) / d_tau)))
     j_max = int(np.floor(nu_max / d_nu + 1e-9))
-    nu_grid = np.arange(-j_max, j_max + 1) * d_nu
-    return d_tau, d_nu, tau_grid, j_max, nu_grid
+    return d_tau, d_nu, i_nodes, np.arange(-j_max, j_max + 1)
 
 
 def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
@@ -500,18 +491,18 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
 
     Coarse grid at half-bin spacing (T/(2M) in delay, 1/(2*N*T_o) in Doppler)
     over [0, tau_max] x [-nu_max, nu_max], then alternating line searches one
-    coarse step around the best node (sensing_rx.alternating_refine) on the
-    receive samples. Returns a TackledEstimate; raises FlatObjectiveError when
-    the objective is zero on every coarse node.
+    coarse step around the best node (sensing_rx.alternating_refine); scan and
+    line searches read the same receive samples. Returns a TackledEstimate;
+    raises FlatObjectiveError when the objective is zero on every coarse node.
     """
-    d_tau, d_nu, tau_grid, j_max, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
-    prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    d_tau, d_nu, i_nodes, j_nodes = _half_bin_grid(frame, tau_max, nu_max)
+    y_t = _rx_samples(y, frame)
+    prof = _coarse_scan(y_t, pair, frame, i_nodes, j_nodes)
     if not np.any(prof > 0):
         raise FlatObjectiveError("no detectable target: flat matched-filter objective")
     i, j = np.unravel_index(int(np.argmax(prof)), prof.shape)
-    tau0, nu0 = float(tau_grid[i]), float(nu_grid[j])
+    tau0, nu0 = float(i_nodes[i] * d_tau), float(j_nodes[j] * d_nu)
 
-    y_t = _rx_samples(y, frame)
     tau_box = (max(0.0, tau0 - d_tau), min(frame.t_slot, tau0 + d_tau))
     symbols = _read_symbols(pair, frame, tau_box[1])
     (tau, nu), best = alternating_refine(
@@ -525,8 +516,7 @@ def tackled_estimate(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
     return TackledEstimate(
         tau_hat=tau, nu_hat=nu,
         range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),
-        coarse_bin=(i, j - j_max), peak_value=best,
-        range_profile=(tau_grid, prof.max(axis=1)))
+        peak_value=best, range_profile=(i_nodes * d_tau, prof.max(axis=1)))
 
 
 def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
@@ -537,9 +527,9 @@ def tackled_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
     rescanning y. The demos render TackledEstimate.range_profile instead, the
     same pair that tackled_estimate keeps for its own input.
     """
-    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max, nu_max)
-    prof = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
-    return tau_grid, prof.max(axis=1)
+    d_tau, _, i_nodes, j_nodes = _half_bin_grid(frame, tau_max, nu_max)
+    prof = _coarse_scan(_rx_samples(y, frame), pair, frame, i_nodes, j_nodes)
+    return i_nodes * d_tau, prof.max(axis=1)
 
 
 def _cancel(y: np.ndarray, count: int, detect, response) -> list:

@@ -96,7 +96,6 @@ class PrecoderSet:
 
     analog: np.ndarray
     digital: np.ndarray
-    switch: SwitchMatrix = None
     converged: bool = True
     objective_trace: list = field(default_factory=list)
 
@@ -387,8 +386,8 @@ def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
         warnings.warn(f"alternating loop hit max_iter={max_iter} before tol={tol}",
                       ModelMismatchWarning)
     digital = finalize_digital(targets, f_rf)
-    return PrecoderSet(analog=f_rf, digital=digital, switch=switch,
-                       converged=converged, objective_trace=trace)
+    return PrecoderSet(analog=f_rf, digital=digital, converged=converged,
+                       objective_trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +430,7 @@ def sca_hybrid_precoding(comm_opt: CommTarget, codebook: SensingCodebook, q: int
 
     # SCA weights the amplitudes by sqrt(eta), sqrt(1-eta)
     digital = _normalized_least_squares(f_rf, targets, np.sqrt(eta), np.sqrt(1.0 - eta))
-    return PrecoderSet(analog=f_rf, digital=digital, switch=switch, converged=True)
+    return PrecoderSet(analog=f_rf, digital=digital, converged=True)
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,6 @@ class ObservationBlock:
     """Combined observations y_q[m, n], kept as (n_rf, M, N)."""
 
     y: np.ndarray
-    slot_index: int = 1
 
     @property
     def n_rf(self) -> int:
@@ -108,7 +107,7 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
     lam, vecs = np.linalg.eigh(combiner.matrix.conj().T @ combiner.matrix)
     noise = awgn((combiner.n_rf, m_sc * n_sym), scene.noise_power, rng)
     y3 += ((vecs * np.sqrt(np.maximum(lam, 0.0))) @ noise).reshape(combiner.n_rf, m_sc, n_sym)
-    return ObservationBlock(y=y3, slot_index=q)
+    return ObservationBlock(y=y3)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +121,6 @@ class MusicResult:
     angles: np.ndarray
     spectrum: np.ndarray
     peak_angles: np.ndarray
-    signal_dim: int
-    noise_dim: int
     eigenvalues: np.ndarray = None
 
 
@@ -179,7 +176,7 @@ def music_spectrum(block: ObservationBlock, combiner: ReceiveCombiner, p_q: int,
 
     peak_angles = _pick_peaks(grid.angles, spectrum, den, p_q)
     return MusicResult(angles=grid.angles, spectrum=spectrum, peak_angles=peak_angles,
-                       signal_dim=p_q, noise_dim=block.n_rf - p_q, eigenvalues=evals)
+                       eigenvalues=evals)
 
 
 def _pick_peaks(angles: np.ndarray, spectrum: np.ndarray, den: np.ndarray,
@@ -219,7 +216,6 @@ class DelayDopplerEstimate:
     nu_hat: float
     range_hat: float
     velocity_hat: float
-    coarse_bin: tuple
     peak_value: float
 
 
@@ -409,7 +405,7 @@ def gss_refine(profile, coarse_bin: tuple, frame: FrameConfig, rounds: int = 3,
     return DelayDopplerEstimate(
         tau_hat=tau, nu_hat=nu,
         range_hat=range_of_delay(tau), velocity_hat=velocity_of_doppler(nu, frame.fc),
-        coarse_bin=(m0, n0), peak_value=best)
+        peak_value=best)
 
 
 def estimate_slot(block: ObservationBlock, combiner: ReceiveCombiner,

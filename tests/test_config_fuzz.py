@@ -22,7 +22,7 @@ from pathlib import Path
 
 import yaml
 
-from thzisac.cli import main as cli_main
+from thzisac.cli import RUNNERS, main as cli_main
 from thzisac.config import ConfigError, ExperimentConfig, config_digest, config_from_dict
 
 # the shrunk config of test_harness._tiny_config at one trial, as YAML data
@@ -46,9 +46,8 @@ BASE = dataclasses.asdict(config_from_dict(TINY))
 # the fraction is 1.5, not 0.5: the demos' grids grow as 1/spacing, and a
 # 0.5 kHz subcarrier spacing alone takes the ICI demo about 3 s
 FIXED = ["x", True, [], 0, -1, 1.5]
-RUNNERS = ["tradeoff", "se-sweep", "beam-scan", "mc-rmse", "isi-demo", "ici-demo"]
 # the runners that read each section; seed, trials and frame are read by all six
-COMMANDS = {"arrays": RUNNERS[:4], "comm": RUNNERS[:4], "tradeoff": ["tradeoff"],
+COMMANDS = {"arrays": list(RUNNERS)[:4], "comm": list(RUNNERS)[:4], "tradeoff": ["tradeoff"],
             "se_sweep": ["se-sweep"], "beam_scan": ["beam-scan"], "mc_rmse": ["mc-rmse"],
             "scene": ["mc-rmse"], "isi_demo": ["isi-demo"], "ici_demo": ["ici-demo"]}
 

@@ -163,4 +163,4 @@ def test_invalid_geometry():
     with pytest.raises(ValueError):
         UpaGeometry(0, 4)
     with pytest.raises(ValueError):
-        AngularWindow(0.5, 0.5, 1)
+        AngularWindow(0.5, 0.5)

@@ -20,20 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from thzisac import experiments
+from thzisac.cli import RUNNERS
 
 from test_harness import _tiny_config
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RTOL = 1e-9
-RUNNERS = {
-    "tradeoff": experiments.run_tradeoff,
-    "se-sweep": experiments.run_se_sweep,
-    "beam-scan": experiments.run_beam_scan,
-    "mc-rmse": experiments.run_mc_rmse,
-    "isi-demo": experiments.run_isi_demo,
-    "ici-demo": experiments.run_ici_demo,
-}
 # at eta in {0, 0.5, 1} VEC's (eta, 1-eta) and SCA's (sqrt(eta), sqrt(1-eta))
 # target weightings give the same normalized target; one case at eta = 0.3
 # tells them apart

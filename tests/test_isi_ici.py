@@ -176,19 +176,30 @@ def test_coarse_scan_matches_matched_objective_on_every_node(frame, rng):
     pair = _random_pair(frame, rng)
     y = 0.7 * apply_channel_operator(2.3 * frame.t_total, -0.4 * frame.delta_f, pair, frame)
     y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
-    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, nu_max=1.5 / frame.t_total)
+    d_tau, d_nu, i_nodes, j_nodes = _half_bin_grid(frame, nu_max=1.5 / frame.t_total)
     # some node lies past a whole symbol and past the CP within its symbol
+    tau_grid = i_nodes * d_tau
     assert np.any((tau_grid >= frame.t_total)
                   & (np.mod(tau_grid, frame.t_total) > frame.t_cp))
-    assert nu_grid.min() < 0 and np.ptp(nu_grid) > 1.0 / frame.t_total
-    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
+    assert j_nodes.min() < 0 and np.ptp(j_nodes) * d_nu > 1.0 / frame.t_total
+    _assert_scan_matches_objective(y, pair, frame, i_nodes, j_nodes)
 
 
-def _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid):
-    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+def _scan(y, pair, frame, i_nodes, j_nodes):
+    return _coarse_scan(isi_ici._rx_samples(y, frame), pair, frame, i_nodes, j_nodes)
+
+
+def _direct_objective(y, pair, frame, i_nodes, j_nodes):
+    # the operator-built objective at the lattice nodes (i d_tau, j d_nu)
+    d_tau, d_nu = _half_bin_grid(frame)[:2]
     objective = matched_objective(y, pair, frame)
-    direct = np.array([[objective(t, v) for v in nu_grid] for t in tau_grid])
-    np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
+    return np.array([[objective(i * d_tau, j * d_nu) for j in j_nodes] for i in i_nodes])
+
+
+def _assert_scan_matches_objective(y, pair, frame, i_nodes, j_nodes):
+    np.testing.assert_allclose(_scan(y, pair, frame, i_nodes, j_nodes),
+                               _direct_objective(y, pair, frame, i_nodes, j_nodes),
+                               rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.parametrize("shape", [(32, 8, 8), (24, 5, 5), (16, 4, 0)])
@@ -299,11 +310,11 @@ def test_coarse_scan_oracle_one_doppler_node_up_to_slot_end(frame, rng, predeces
         pair = ExtendedTxPair(np.zeros_like(pair.x_curr), pair.x_curr)
     y = 0.7 * apply_channel_operator(frame.t_cp + 0.4 * frame.t_symbol, 0.0, pair, frame)
     y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
-    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, nu_max=0.0)
-    assert nu_grid.size == 1
-    assert np.isclose(tau_grid[-1], frame.t_slot, rtol=1e-12)
-    assert tau_grid.size == 2 * frame.n_symbols * (frame.m_subcarriers + frame.m_cp) + 1
-    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
+    d_tau, _, i_nodes, j_nodes = _half_bin_grid(frame, nu_max=0.0)
+    assert j_nodes.tolist() == [0]
+    assert np.isclose(i_nodes[-1] * d_tau, frame.t_slot, rtol=1e-12)
+    assert i_nodes.size == 2 * frame.n_symbols * (frame.m_subcarriers + frame.m_cp) + 1
+    _assert_scan_matches_objective(y, pair, frame, i_nodes, j_nodes)
 
 
 @pytest.mark.parametrize("shape", [(32, 8, 8), (24, 5, 5), (16, 4, 0)])
@@ -315,34 +326,75 @@ def test_coarse_scan_oracle_narrow_delay_wide_doppler(rng, shape):
     pair = _random_pair(frame, rng)
     y = 0.7 * apply_channel_operator(0.2 * frame.t_symbol / m_sc, 0.4 * frame.delta_f, pair, frame)
     y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
-    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max=2.6 * frame.t_symbol / m_sc,
-                                                nu_max=1.5 / frame.t_total)
-    assert tau_grid.size == 6 and nu_grid.size == 6 * n_sym + 1
-    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
+    _, _, i_nodes, j_nodes = _half_bin_grid(frame, tau_max=2.6 * frame.t_symbol / m_sc,
+                                            nu_max=1.5 / frame.t_total)
+    assert i_nodes.size == 6 and j_nodes.size == 6 * n_sym + 1
+    _assert_scan_matches_objective(y, pair, frame, i_nodes, j_nodes)
 
 
 def test_coarse_scan_oracle_scattered_lattice_nodes(frame, rng):
     # unsorted, non-contiguous nodes with uneven Doppler steps
     pair = _random_pair(frame, rng)
     y = (rng.standard_normal(32 * 8) + 1j * rng.standard_normal(32 * 8)) / np.sqrt(2)
-    d_tau = frame.t_symbol / 64
-    d_nu = 1.0 / (16 * frame.t_total)
     last = 2 * 8 * (32 + frame.m_cp)
-    tau_grid = d_tau * np.array([7, 0, last, 3, last - 1, 90])
-    nu_grid = d_nu * np.array([5, -3, -2, 4, 4, 0, 40])
-    _assert_scan_matches_objective(y, pair, frame, tau_grid, nu_grid)
+    _assert_scan_matches_objective(y, pair, frame, np.array([7, 0, last, 3, last - 1, 90]),
+                                   np.array([5, -3, -2, 4, 4, 0, 40]))
 
 
 def test_coarse_scan_rejects_nodes_off_the_lattice_or_slot(frame, rng):
+    # integer nodes lie on the lattice by their type; only the slot bounds them
     pair = _random_pair(frame, rng)
     y = np.ones(32 * 8, complex)
-    d_tau = frame.t_symbol / 64
-    with pytest.raises(ValueError, match="delay grid must lie"):
-        _coarse_scan(y, pair, frame, np.array([0.3 * d_tau]), np.zeros(1))
-    with pytest.raises(ValueError, match="Doppler grid must lie"):
-        _coarse_scan(y, pair, frame, np.zeros(1), np.array([0.13 * frame.delta_f]))
-    with pytest.raises(ValueError, match="outside"):
-        _coarse_scan(y, pair, frame, np.array([frame.t_slot + d_tau]), np.zeros(1))
+    last = 2 * 8 * (32 + frame.m_cp)
+    for i_nodes in ([last + 1], [-1, 0]):
+        with pytest.raises(ValueError, match="outside"):
+            _scan(y, pair, frame, np.array(i_nodes), np.zeros(1, int))
+
+
+@pytest.mark.parametrize("bounds", [(-1e-9, None), (None, -1.0), (-1.0, -1.0)])
+def test_negative_search_bounds_raise(frame, rng, bounds):
+    # a negative bound would leave an empty grid: no silent "nothing detected"
+    pair = _random_pair(frame, rng)
+    y = apply_channel_operator(0.3 * frame.t_total, 0.0, pair, frame)
+    calls = (lambda: tackled_estimate(y, pair, frame, *bounds),
+             lambda: successive_cancellation(y, pair, frame, 1, *bounds),
+             lambda: isi_ici.tackled_range_profile(y, pair, frame, *bounds))
+    for call in calls:
+        with pytest.raises(ValueError, match="negative search bound"):
+            call()
+
+
+def test_half_bin_grid_node_counts_on_the_demo_grids():
+    # the short-CP ISI scan (3.84 MHz), its 480 kHz control and the ICI scan
+    grids = [(3840e3, 55.0, 30.0, (2887, 1)), (480e3, 55.0, 30.0, (362, 11)),
+             (120e3, 40.0, 55.0, (67, 73))]
+    for delta_f, max_range, max_speed, shape in grids:
+        frame = FrameConfig(1024, 16, 32, delta_f, 0.3e12)
+        d_tau, _, i_nodes, j_nodes = _half_bin_grid(
+            frame, delay_of_range(max_range), doppler_of_velocity(max_speed, frame.fc))
+        assert (i_nodes.size, j_nodes.size) == shape
+        assert np.array_equal(i_nodes, np.arange(shape[0]))
+        assert np.array_equal(j_nodes, np.arange(shape[1]) - shape[1] // 2)
+        # the float delay nodes the grid used to be built as, bit for bit
+        tau_max = min(delay_of_range(max_range), frame.t_slot)
+        assert np.array_equal(i_nodes * d_tau, np.arange(0.0, tau_max + d_tau / 2, d_tau))
+
+
+@pytest.mark.parametrize("tau_max", [0.5, 3.0])
+def test_tackled_estimate_takes_the_receive_samples_once(frame, rng, monkeypatch, tau_max):
+    # scan and refinement share one per-symbol IDFT of y, on an in-CP grid
+    # (tau_max 0.5 T_cp) and on an overlap-save grid (3 symbols deep)
+    pair = _random_pair(frame, rng)
+    tau_max = tau_max * (frame.t_cp if tau_max < 1 else frame.t_total)
+    y = apply_channel_operator(0.3 * tau_max, 0.1 * frame.delta_f, pair, frame)
+    calls = {name: [] for name in ("_rx_samples", "_scan_in_cp")}
+    for name, seen in calls.items():
+        real = getattr(isi_ici, name)
+        monkeypatch.setattr(isi_ici, name,
+                            lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
+    tackled_estimate(y, pair, frame, tau_max, 0.3 * frame.delta_f)
+    assert len(calls["_rx_samples"]) == 1
+    assert len(calls["_scan_in_cp"]) == (tau_max <= frame.t_cp)
 
 
 def _count_cp_streams(monkeypatch):
@@ -368,15 +420,14 @@ def test_coarse_scan_path_follows_the_deepest_lag(rng, monkeypatch, shape, past_
     y = 0.7 * apply_channel_operator(0.6 * frame.t_cp, 0.4 * frame.delta_f, pair, frame)
     y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
     d_tau = frame.t_symbol / (2 * m_sc)
-    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, tau_max=(2 * m_cp + past_cp) * d_tau,
-                                                nu_max=1.5 / frame.t_total)
-    assert (round(tau_grid[-1] / d_tau) + 1) // 2 == m_cp + past_cp
+    _, _, i_nodes, j_nodes = _half_bin_grid(frame, tau_max=(2 * m_cp + past_cp) * d_tau,
+                                            nu_max=1.5 / frame.t_total)
+    assert (i_nodes[-1] + 1) // 2 == m_cp + past_cp
     calls = _count_cp_streams(monkeypatch)
-    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    scan = _scan(y, pair, frame, i_nodes, j_nodes)
     assert len(calls) == (2 if past_cp else 0)
-    objective = matched_objective(y, pair, frame)
-    direct = np.array([[objective(t, v) for v in nu_grid] for t in tau_grid])
-    np.testing.assert_allclose(scan, direct, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(scan, _direct_objective(y, pair, frame, i_nodes, j_nodes),
+                               rtol=1e-9, atol=0.0)
 
 
 def test_coarse_scan_of_a_silent_current_slot_is_zero_inside_the_cp(frame, rng):
@@ -384,9 +435,9 @@ def test_coarse_scan_of_a_silent_current_slot_is_zero_inside_the_cp(frame, rng):
     # gives an all-zero scan (no 0/0) and a flat objective
     pair = ExtendedTxPair(_random_pair(frame, rng).x_prev, np.zeros((32, 8), complex))
     y = rng.standard_normal(32 * 8) + 1j * rng.standard_normal(32 * 8)
-    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, frame.t_cp, 0.5 * frame.delta_f)
-    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
-    assert scan.shape == (tau_grid.size, nu_grid.size) and np.all(scan == 0.0)
+    _, _, i_nodes, j_nodes = _half_bin_grid(frame, frame.t_cp, 0.5 * frame.delta_f)
+    scan = _scan(y, pair, frame, i_nodes, j_nodes)
+    assert scan.shape == (i_nodes.size, j_nodes.size) and np.all(scan == 0.0)
     with pytest.raises(isi_ici.FlatObjectiveError):
         tackled_estimate(y, pair, frame, frame.t_cp, 0.5 * frame.delta_f)
 
@@ -398,14 +449,14 @@ def test_ici_shaped_scan_builds_no_cp_stream(monkeypatch):
     pair = ExtendedTxPair(generate_symbols(frame, 1, rng)[0], generate_symbols(frame, 1, rng)[0])
     y = apply_channel_operator(delay_of_range(30.0), doppler_of_velocity(50.0, frame.fc), pair,
                                frame)
-    _, _, tau_grid, _, nu_grid = _half_bin_grid(frame, delay_of_range(40.0),
+    d_tau, _, i_nodes, j_nodes = _half_bin_grid(frame, delay_of_range(40.0),
                                                 doppler_of_velocity(55.0, frame.fc))
-    assert (tau_grid.size, nu_grid.size) == (67, 73)
+    assert (i_nodes.size, j_nodes.size) == (67, 73)
     calls = _count_cp_streams(monkeypatch)
-    scan = _coarse_scan(y, pair, frame, tau_grid, nu_grid)
+    scan = _scan(y, pair, frame, i_nodes, j_nodes)
     assert calls == []
     i, j = np.unravel_index(np.argmax(scan), scan.shape)
-    assert abs(tau_grid[i] - delay_of_range(30.0)) <= frame.t_symbol / 2048
+    assert abs(i_nodes[i] * d_tau - delay_of_range(30.0)) <= frame.t_symbol / 2048
 
 
 @pytest.mark.parametrize("delta_f, max_range, max_speed, target, nu, bound", [

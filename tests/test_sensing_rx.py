@@ -54,14 +54,14 @@ def _scan_precoders(geom, frame, q, ns, n_rf, rng, eta=0.0, n_closed=None):
 
 def test_combiner_degenerate_window_is_matched(geom, rng):
     theta0 = 0.4
-    window = AngularWindow(theta0, theta0 + 1e-12, 1)
+    window = AngularWindow(theta0, theta0 + 1e-12)
     comb = receive_combiner(window, 1, geom, rng)
     np.testing.assert_allclose(comb.matrix[:, 0], steering_upa(theta0, np.pi / 2, geom),
                                atol=1e-9)
 
 
 def test_combiner_unit_norm_and_determinism(geom):
-    window = AngularWindow(-0.5, 0.2, 2)
+    window = AngularWindow(-0.5, 0.2)
     a = receive_combiner(window, 4, geom, np.random.default_rng(3))
     b = receive_combiner(window, 4, geom, np.random.default_rng(3))
     np.testing.assert_array_equal(a.matrix, b.matrix)
@@ -71,7 +71,7 @@ def test_combiner_unit_norm_and_determinism(geom):
 
 def test_combiner_subarray_mask(geom, rng):
     sw = default_switch_pattern(4, 4, geom.n_elements // 4)
-    comb = receive_combiner(AngularWindow(0.0, 0.1, 1), 4, geom, rng, switch=sw)
+    comb = receive_combiner(AngularWindow(0.0, 0.1), 4, geom, rng, switch=sw)
     mask = sw.expand()
     assert np.all(comb.matrix[~mask[:, :4]] == 0)
     np.testing.assert_allclose(np.linalg.norm(comb.matrix, axis=0), 1.0, atol=1e-12)
@@ -84,7 +84,7 @@ def test_combiner_subarray_mask(geom, rng):
 def test_simulate_rx_zero_targets_zero_noise(geom, frame, rng):
     pre = _identity_precoders(geom.n_elements, 4, 4, frame.m_subcarriers)
     sym = generate_symbols(frame, 4, rng)
-    comb = receive_combiner(AngularWindow(0.0, 0.5, 1), 4, geom, rng)
+    comb = receive_combiner(AngularWindow(0.0, 0.5), 4, geom, rng)
     block = simulate_rx(SensingScene([], noise_power=0.0), pre, sym, comb, frame, 1,
                         geom, geom, rng, check_model=False)
     assert np.all(block.y == 0)
@@ -94,7 +94,7 @@ def test_simulate_rx_rank_one_noiseless(geom, frame, rng):
     pre = _scan_precoders(geom, frame, 2, 4, 4, rng)
     tgt = SensingTarget(range_m=4.0, velocity_mps=3.0, azimuth=-1.0, coeff=1.0 + 0j)
     sym = generate_symbols(frame, 4, rng)
-    comb = receive_combiner(AngularWindow(-1.2, -0.8, 2), 4, geom, rng)
+    comb = receive_combiner(AngularWindow(-1.2, -0.8), 4, geom, rng)
     block = simulate_rx(SensingScene([tgt], noise_power=0.0), pre, sym, comb, frame,
                         2, geom, geom, rng, check_model=False)
     s = np.linalg.svd(block.stacked(), compute_uv=False)
@@ -104,7 +104,7 @@ def test_simulate_rx_rank_one_noiseless(geom, frame, rng):
 def test_simulate_rx_snr_scaling(geom, frame, rng):
     pre = _scan_precoders(geom, frame, 2, 4, 4, rng)
     sym = generate_symbols(frame, 4, rng)
-    comb = receive_combiner(AngularWindow(-1.2, -0.8, 2), 4, geom, rng)
+    comb = receive_combiner(AngularWindow(-1.2, -0.8), 4, geom, rng)
     powers = []
     for coeff in (1.0, 2.0):
         tgt = SensingTarget(range_m=4.0, velocity_mps=3.0, azimuth=-1.0, coeff=coeff)
@@ -121,7 +121,7 @@ def test_simulate_rx_matches_dense_channel(geom, frame, rng):
                         coeff=0.7 - 0.2j)
     scene = SensingScene([tgt], noise_power=0.0)
     sym = generate_symbols(frame, 2, rng)
-    comb = receive_combiner(AngularWindow(-1.2, -0.8, 2), 4, geom, rng)
+    comb = receive_combiner(AngularWindow(-1.2, -0.8), 4, geom, rng)
     block = simulate_rx(scene, pre, sym, comb, frame, 2, geom, geom, rng,
                         check_model=False)
     for (m, n) in ((0, 0), (3, 5), (31, 7)):
@@ -136,7 +136,7 @@ NOISE_FALSE_ALARM = 1e-6
 
 
 def _noise_combiner(case, geom, rng):
-    window = AngularWindow(0.1, 0.3, 1)
+    window = AngularWindow(0.1, 0.3)
     k = geom.n_elements // 4
     if case == "aosa":
         return receive_combiner(window, 4, geom, rng, switch=default_switch_pattern(4, 4, k))
@@ -201,7 +201,7 @@ def test_music_spectrum_matches_dense_manifold(w_count, l_count, masked):
     rng = np.random.default_rng(w_count * 10 + masked)
     phi = 1.2
     switch = default_switch_pattern(4, 4, geom.n_elements // 4) if masked else None
-    comb = receive_combiner(AngularWindow(-0.6, 0.4, 1), 4, geom, rng, switch=switch,
+    comb = receive_combiner(AngularWindow(-0.6, 0.4), 4, geom, rng, switch=switch,
                             elevation=phi)
     block = ObservationBlock(rng.standard_normal((4, 16, 8))
                              + 1j * rng.standard_normal((4, 16, 8)))
