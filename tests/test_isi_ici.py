@@ -380,12 +380,13 @@ def test_half_bin_grid_node_counts_on_the_demo_grids():
         assert np.array_equal(i_nodes * d_tau, np.arange(0.0, tau_max + d_tau / 2, d_tau))
 
 
-@pytest.mark.parametrize("tau_max", [0.5, 3.0])
-def test_tackled_estimate_takes_the_receive_samples_once(frame, rng, monkeypatch, tau_max):
-    # scan and refinement share one per-symbol IDFT of y, on an in-CP grid
-    # (tau_max 0.5 T_cp) and on an overlap-save grid (3 symbols deep)
+@pytest.mark.parametrize("symbols, in_cp", [(0.1, True), (3.0, False)])
+def test_tackled_estimate_takes_the_receive_samples_once(frame, rng, monkeypatch, symbols,
+                                                         in_cp):
+    # scan and refinement share one per-symbol IDFT of y, on an in-CP grid and
+    # on an overlap-save grid
     pair = _random_pair(frame, rng)
-    tau_max = tau_max * (frame.t_cp if tau_max < 1 else frame.t_total)
+    tau_max = symbols * frame.t_total
     y = apply_channel_operator(0.3 * tau_max, 0.1 * frame.delta_f, pair, frame)
     calls = {name: [] for name in ("_rx_samples", "_scan_in_cp")}
     for name, seen in calls.items():
@@ -394,7 +395,7 @@ def test_tackled_estimate_takes_the_receive_samples_once(frame, rng, monkeypatch
                             lambda *args, real=real, seen=seen: seen.append(args) or real(*args))
     tackled_estimate(y, pair, frame, tau_max, 0.3 * frame.delta_f)
     assert len(calls["_rx_samples"]) == 1
-    assert len(calls["_scan_in_cp"]) == (tau_max <= frame.t_cp)
+    assert len(calls["_scan_in_cp"]) == in_cp
 
 
 def _count_cp_streams(monkeypatch):
