@@ -1,11 +1,13 @@
 """Command-line front end for the experiment runners.
 
-Exit codes: 0 success, 2 configuration error, 3 selftest failure.
+Exit codes: 0 success, 2 configuration or output-directory error, 3 selftest
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import experiments
@@ -45,6 +47,11 @@ def main(argv=None) -> int:
         return 2
     if args.command == "selftest":
         return 0 if experiments.selftest() else 3
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"output error: cannot use --out {args.out!r}: {exc}", file=sys.stderr)
+        return 2
     summary = RUNNERS[args.command](cfg, args.out)
     print(f"{args.command}: wrote results under {args.out}/")
     for key in sorted(summary)[:8]:

@@ -97,7 +97,8 @@ def _draw_means(cfg: ExperimentConfig, experiment: str, frame, tx_geom, rx_geom,
     """Rows (*key, *column means) over cfg.trials comm draws, sorted by key.
 
     rows_of(r, comm, receiver, a_t_h, comm_opt) gives draw r's {key: values};
-    receiver is the rate's combiner side, to which each design adds A_t^H F[m].
+    receiver is the rate's combiner side, to which each design adds A_t^H F[m],
+    and comm_opt the SVD precoders.
     """
     acc = {}
     for r in range(cfg.trials):
@@ -122,11 +123,10 @@ def run_tradeoff(cfg: ExperimentConfig, out_dir: str) -> dict:
     spec = cfg.tradeoff
     q = _slot_nearest(codebook, np.deg2rad(spec.sensing_azimuth_deg))
     rho = 10.0 ** (spec.snr_db / 10.0)
-    direction = np.array([codebook.direction_angles[q - 1]])
 
     def rows_of(r, comm, receiver, a_t_h, comm_opt):
-        rows = {("digital", 0, 1.0): (receiver.rate(a_t_h @ comm_opt, rho), float(
-            precoding.transmit_beampattern(None, comm_opt, direction, tx_geom)[0]))}
+        rows = {("digital", 0, 1.0): (receiver.rate(comm_opt.beam_response(a_t_h), rho),
+                                      precoding.sensing_gain_dbi(comm_opt, codebook, q, tx_geom))}
         for n_c in spec.structures:
             if "sca" in spec.algorithms:
                 # SCA updates the comm-only (eta = 1) VEC analog precoder
@@ -173,7 +173,7 @@ def run_se_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     q = _slot_nearest(codebook, np.deg2rad(spec.sensing_azimuth_deg))
 
     def rows_of(r, comm, receiver, a_t_h, comm_opt):
-        designs = {("digital", 0, 1.0): a_t_h @ comm_opt}
+        designs = {("digital", 0, 1.0): comm_opt.beam_response(a_t_h)}
         for n_c in spec.structures:
             for eta in spec.etas:
                 pre = _design_precoders(cfg, comm, codebook, q, eta, n_c,

@@ -432,10 +432,10 @@ def _scan_in_cp(y_t: np.ndarray, x_curr: np.ndarray, frame: FrameConfig, i_nodes
         corr[i, j] = M^-1/2 sum_k e^{2 pi i k i / (2M)}
                      sum_n e^{-2 pi i j n / (2N)} conj(X_n[k]) G_j[n, k],
     and every node's energy is sum_n ||X_n||^2. Both half-sample phases of a
-    Doppler node come out of one 2M-point inverse FFT. Doppler nodes j and
-    j + K, K = 2NP / gcd(2NP, M), have G_{j+K}[n, k] = G_j[n, k + M / gcd]
-    times a constant phase, which |corr|^2 drops: one (N, M) FFT per residue
-    of j mod K, then O(NM) per node.
+    Doppler node come out of one 2M-point inverse FFT, batched over 8 nodes.
+    Doppler nodes j and j + K, K = 2NP / gcd(2NP, M), have
+    G_{j+K}[n, k] = G_j[n, k + M / gcd] times a constant phase, which |corr|^2
+    drops: one (N, M) FFT per residue of j mod K, then O(NM) per node.
     """
     m_sc, n_sym, m_cp = frame.m_subcarriers, frame.n_symbols, frame.m_cp
     out = np.zeros((i_nodes.size, j_nodes.size))
@@ -447,19 +447,30 @@ def _scan_in_cp(y_t: np.ndarray, x_curr: np.ndarray, frame: FrameConfig, i_nodes
     sample_rate = -2j * np.pi * (m_cp + np.arange(m_sc)) / period
     symbol_rate = -1j * np.pi * np.arange(n_sym) / n_sym
     x_conj = np.ascontiguousarray(x_curr.T.conj())
+    # each node's bin shift from the first node of its residue
+    _, first, which = np.unique(j_nodes % k_res, return_index=True, return_inverse=True)
+    shifts = (j_nodes - j_nodes[first][which]) // k_res * bins % m_sc
+    s_max = int(shifts.max())
+    # G_j0 with its first s_max bins repeated after the last, so that every
+    # shift reads one contiguous window; the nodes' z rows go 8 to a read-out
+    spec = np.empty((n_sym, m_sc + s_max), dtype=complex)
     prod = np.empty((n_sym, m_sc), dtype=complex)
-    residues = j_nodes % k_res
-    for res in np.unique(residues):
-        cols = np.flatnonzero(residues == res)
-        j_0 = j_nodes[cols[0]]
-        spec = np.fft.fft(y_t * np.exp(sample_rate * j_0), axis=1)
-        for col in cols:
-            s = (j_nodes[col] - j_0) // k_res * bins % m_sc
-            np.multiply(x_conj[:, :m_sc - s], spec[:, s:], out=prod[:, :m_sc - s])
-            np.multiply(x_conj[:, m_sc - s:], spec[:, :s], out=prod[:, m_sc - s:])
-            z = np.exp(symbol_rate * j_nodes[col]) @ prod
-            corr = np.fft.ifft(z, n=2 * m_sc, norm="forward")[i_nodes % (2 * m_sc)]
-            out[:, col] = corr.real ** 2 + corr.imag ** 2
+    block, res = 8, -1
+    z = np.empty((block, m_sc), dtype=complex)
+    read = i_nodes % (2 * m_sc)
+    order = np.argsort(which, kind="stable")  # residue by residue
+    for start in range(0, order.size, block):
+        cols = order[start:start + block]
+        for row, col in enumerate(cols):
+            if which[col] != res:
+                res = which[col]
+                np.fft.fft(y_t * np.exp(sample_rate * j_nodes[first[res]]), axis=1,
+                           out=spec[:, :m_sc])
+                spec[:, m_sc:] = spec[:, :s_max]
+            np.multiply(x_conj, spec[:, shifts[col]:shifts[col] + m_sc], out=prod)
+            np.matmul(np.exp(symbol_rate * j_nodes[col]), prod, out=z[row])
+        corr = np.fft.ifft(z[:cols.size], n=2 * m_sc, axis=1, norm="forward")[:, read]
+        out[:, cols] = (corr.real ** 2 + corr.imag ** 2).T
     out /= m_sc * energy
     return out
 

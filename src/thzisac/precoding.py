@@ -4,7 +4,8 @@ Two designs for the dynamic array-of-subarray architecture: an alternating
 vectorization (VEC) solver of the weighted Frobenius-distance problem, and a
 one-shot codebook-assisted (SCA) update that reuses a communication-only analog
 precoder. Also the fully digital SVD reference, spectral efficiency, and the
-transmit beampattern.
+transmit beampattern. Every precoder and combiner, the SVD's included, is a
+PrecoderSet: an analog stage and per-subcarrier digital factors.
 """
 
 from __future__ import annotations
@@ -121,33 +122,31 @@ class PrecoderSet:
 # ---------------------------------------------------------------------------
 
 def optimal_fully_digital(channel: CommChannel, ns: int):
-    """First ns right/left singular vectors of the channel per subcarrier.
+    """First ns right/left singular vectors of the channel per subcarrier, as dense stacks.
 
     Works on the channel's path factors, so any array size is fine. Returns
-    (F, C, S): arrays of shape (M, nt, ns), (M, nr, ns), (M, ns), with F
-    stored subcarrier-minor, as PrecodingTargets keeps it, and built by one
-    product.
+    (F, C, S): arrays of shape (M, nt, ns), (M, nr, ns), (M, ns), the
+    tx_matrices() of comm_design's precoders and combiners, F subcarrier-minor.
     """
-    return _svd_factored(channel, ns)[:3]
+    f, c, s, _ = _svd_factored(channel, ns)
+    return f.tx_matrices(), c.tx_matrices(), s
 
 
 def comm_design(channel: CommChannel, ns: int):
     """SVD precoders and combiners of the channel, and the precoders as a CommTarget.
 
-    The target is the SVD's own factoring F[m] = Q_t V[m], rank P, in the QR
-    basis Q_t of the channel's transmit steering matrix. With fewer paths than
-    streams the precoders are padded outside that span, and the target takes
-    their thin QR instead. Returns (F, C, target).
+    Returns (F, C, target), F and C as PrecoderSets whose analog stage is the
+    QR basis of the channel's steering matrix: F[m] = Q_t V[m] and
+    C[m] = Q_r U[m], both rank P. The target shares F's arrays. With fewer
+    paths than streams the SVD pads its precoders and combiners outside those
+    spans, and each set is the thin QR of its padded stack instead.
     """
     f, c, _, target = _svd_factored(channel, ns)
-    return f, c, target if target is not None else CommTarget.factor(f)
+    return f, c, target
 
 
 def _svd_factored(channel: CommChannel, ns: int):
-    """optimal_fully_digital on the channel factors, and F as a CommTarget in Q_t.
-
-    The target is None when F is padded outside span(Q_t).
-    """
+    """(F, C, S, target): comm_design's precoders, combiners and target, and the singular values."""
     a_r, a_t, gains = channel.factors()
     q_r, r_r = np.linalg.qr(a_r)
     q_t, r_t = np.linalg.qr(a_t)
@@ -156,23 +155,28 @@ def _svd_factored(channel: CommChannel, ns: int):
         warnings.warn("channel rank below stream count; zero singular values kept",
                       ModelMismatchWarning)
     m_count, k = gains.shape[1], min(ns, p)
-    # right singular vectors in the QR basis, subcarrier-minor: (p, M, ns)
+    # left and right singular vectors in the QR bases, subcarrier-minor: (p, M, ns)
+    u_out = np.zeros((p, m_count, ns), dtype=complex)
     v = np.zeros((p, m_count, ns), dtype=complex)
-    c = np.zeros((m_count, q_r.shape[0], ns), dtype=complex)
     s_out = np.zeros((m_count, ns))
     for m in range(m_count):
         mid = r_r @ np.diag(gains[:, m]) @ r_t.conj().T
         u, s, vh = np.linalg.svd(mid)
+        u_out[:, m, :k] = u[:, :k]
         v[:, m, :k] = vh[:k].conj().T
-        np.matmul(q_r, u[:, :k], out=c[m, :, :k])
         s_out[m, :k] = s[:k]
-    f = (q_t @ v.reshape(p, -1)).reshape(-1, m_count, ns).transpose(1, 0, 2)
-    if k < ns:
-        for m in range(m_count):
-            f[m] = _pad_orthonormal(f[m, :, :k], ns)
-            c[m] = _pad_orthonormal(c[m, :, :k], ns)
-        return f, c, s_out, None
-    return f, c, s_out, CommTarget(q_t, v.transpose(1, 0, 2), _frobenius_sq(v))
+    f = PrecoderSet(q_t, v.transpose(1, 0, 2))
+    c = PrecoderSet(q_r, u_out.transpose(1, 0, 2))
+    if k == ns:
+        return f, c, s_out, CommTarget(f.analog, f.digital, _frobenius_sq(v))
+    # the dense padded stacks, each in its own thin QR
+    f, c = _apply_left(f.analog, f.digital), _apply_left(c.analog, c.digital)
+    for m in range(m_count):
+        f[m] = _pad_orthonormal(f[m, :, :k], ns)
+        c[m] = _pad_orthonormal(c[m, :, :k], ns)
+    target, rx = CommTarget.factor(f), CommTarget.factor(c)
+    return (PrecoderSet(target.basis, target.coeffs), PrecoderSet(rx.basis, rx.coeffs),
+            s_out, target)
 
 
 def _pad_orthonormal(mat: np.ndarray, ns: int) -> np.ndarray:
@@ -458,17 +462,19 @@ class CombinedReceiver:
         return float(np.sum(logdet / np.log(2.0))) / m_count
 
 
-def combined_receiver(channel: CommChannel, rx: np.ndarray, sigma2: float) -> CombinedReceiver:
-    """The rate's combiner side for combiners rx, (M, nr, ns), from the channel factors.
+def combined_receiver(channel: CommChannel, rx: PrecoderSet, sigma2: float) -> CombinedReceiver:
+    """The rate's combiner side for combiners C[m] = A D[m], from the channel factors.
 
-    A noise covariance sigma^2 C^H C that is singular gets a trace-scaled
-    ridge, with one warning per such subcarrier.
+    C^H A_r is rx.beam_response(A_r^H) conjugate-transposed, and the noise Gram
+    matrix C^H C is D^H (A^H A) D, so no (M, nr, ns) stack is formed. A noise
+    covariance sigma^2 C^H C that is singular gets a trace-scaled ridge, with
+    one warning per such subcarrier.
     """
-    ns = rx.shape[2]
     a_r, _, gains = channel.factors()
-    left = (a_r.conj().T @ rx).conj().swapaxes(1, 2)
-    # per-subcarrier Gram matrices: a batched product would conjugate a copy of rx
-    r_n = sigma2 * np.stack([c.conj().T @ c for c in rx])
+    d = rx.digital
+    ns = d.shape[2]
+    left = rx.beam_response(a_r.conj().T).conj().swapaxes(1, 2)
+    r_n = sigma2 * (d.conj().swapaxes(1, 2) @ (rx.analog.conj().T @ rx.analog) @ d)
     singular = np.linalg.slogdet(r_n)[0] == 0
     for m in np.flatnonzero(singular):
         warnings.warn("singular combined-noise covariance; ridge added",
@@ -477,19 +483,17 @@ def combined_receiver(channel: CommChannel, rx: np.ndarray, sigma2: float) -> Co
     return CombinedReceiver(paths=left * gains.T[:, None, :], noise_inv=np.linalg.inv(r_n))
 
 
-def spectral_efficiency(channel: CommChannel, tx: np.ndarray, rx: np.ndarray,
+def spectral_efficiency(channel: CommChannel, tx: PrecoderSet, rx: PrecoderSet,
                         rho: float, sigma2: float) -> float:
-    """Subcarrier-averaged log-det rate in bits/s/Hz.
+    """Subcarrier-averaged log-det rate in bits/s/Hz of precoders tx and combiners rx.
 
-    tx and rx hold the effective per-subcarrier precoders (M, nt, ns) and
-    combiners (M, nr, ns). The effective channels C^H H[m] F[m] come batched
-    from the channel factors as (C^H A_r) diag(G[:, m]) (A_t^H F[m]): the
-    combiner side from combined_receiver, which a caller rating many
-    precoders on one channel builds once, and the transmit side as one
-    product with tx read as nt x (M ns), a view when tx is subcarrier-minor.
+    The effective channels C^H H[m] F[m] come batched from the channel factors
+    as (C^H A_r) diag(G[:, m]) (A_t^H F[m]): the combiner side from
+    combined_receiver, which a caller rating many precoders on one channel
+    builds once, and the transmit side from tx.beam_response(A_t^H).
     """
     a_t = channel.factors()[1]
-    return combined_receiver(channel, rx, sigma2).rate(_apply_left(a_t.conj().T, tx), rho)
+    return combined_receiver(channel, rx, sigma2).rate(tx.beam_response(a_t.conj().T), rho)
 
 
 def transmit_beampattern(f_rf: np.ndarray, f_bb: np.ndarray, angles: np.ndarray,
@@ -499,16 +503,12 @@ def transmit_beampattern(f_rf: np.ndarray, f_bb: np.ndarray, angles: np.ndarray,
 
     gain(theta) = (Nt / (M*Ns)) sum_m ||a^H(theta) F_RF F_BB[m]||^2, which
     averages to 0 dBi over a uniform sin-spaced grid for any power-normalized
-    precoder set and peaks at 10 log10(Nt) for a full coherent beam. f_rf None
-    means no analog stage (F_RF = I): f_bb is then a fully digital precoder.
+    precoder set and peaks at 10 log10(Nt) for a full coherent beam.
     """
     a_grid = steering_many(np.asarray(angles, dtype=float), elevation, geom)
     m_count, _, ns = f_bb.shape
-    if f_rf is None:
-        proj = np.ascontiguousarray(a_grid.conj().T)
-    else:
-        # einsum, not matmul: a real f_rf would be cast to a complex copy first
-        proj = np.einsum("tg,tr->gr", a_grid.conj(), f_rf)
+    # einsum, not matmul: a real f_rf would be cast to a complex copy first
+    proj = np.einsum("tg,tr->gr", a_grid.conj(), f_rf)
     resp = _apply_left(proj, f_bb)
     gain = geom.n_elements / (m_count * ns) * np.sum(np.abs(resp) ** 2, axis=(0, 2))
     if db:

@@ -160,7 +160,7 @@ def test_criterion_7_precoding_near_optimality():
         se_dig.append(spectral_efficiency(chan, comm_opt, comb_opt, rho, 1.0))
         pre = vec_hybrid_precoding(PrecodingTargets(comm, sense, 1.0), switch,
                                    rng=child_rng(SEED, "tradeoff", 200 + r))
-        se_vec.append(spectral_efficiency(chan, pre.tx_matrices(), comb_opt, rho, 1.0))
+        se_vec.append(spectral_efficiency(chan, pre, comb_opt, rho, 1.0))
     ratio = np.mean(se_vec) / np.mean(se_dig)
     ok = ratio >= 0.95
     _report(7, ok, f"VEC FC eta=1 at -20 dB: {np.mean(se_vec):.2f} vs digital "
@@ -185,11 +185,11 @@ def test_criterion_8_tradeoff_endpoints_and_monotonicity():
             pre = vec_hybrid_precoding(PrecodingTargets(comm, sense, eta), switch,
                                        rng=child_rng(SEED, "tradeoff", 300 + r, i))
             gains[i] += sensing_gain_dbi(pre, cb, q, geom) / len(setups)
-            ses[i] += spectral_efficiency(chan, pre.tx_matrices(), comb_opt,
+            ses[i] += spectral_efficiency(chan, pre, comb_opt,
                                           rho_t, 1.0) / len(setups)
             if eta in (0.6, 1.0):
                 se30[eta] = se30.get(eta, 0.0) + spectral_efficiency(
-                    chan, pre.tx_matrices(), comb_opt, rho_30, 1.0) / len(setups)
+                    chan, pre, comb_opt, rho_30, 1.0) / len(setups)
     endpoint = abs(gains[0] - pure_gain) < 0.5
     ordering = ses[-1] > ses[0]
     # the front shape: SE rises with eta while the scan gain falls; once the

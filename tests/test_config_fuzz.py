@@ -8,14 +8,19 @@ schema's rules (a wrong type, a bool, an empty list, zero, a negative and a
 fractional number) and to each bound in the field's metadata and the value
 just past it. Every case must be accepted by `config_from_dict` or raise a
 one-line `ConfigError`. Each distinct accepted config then runs through the
-CLI on every command that reads the leaf, and must exit 0.
+CLI on every command that reads the leaf, and must exit 0. What it writes may
+be undefined only where the config makes it so: a `nan` CSV cell only in a
+row with `n_detected` 0, and a null summary value only beside `n_detected` 0
+(that row's summary) or under a key whose grid point the config omits.
 """
 
 import contextlib
 import copy
 import dataclasses
 import io
+import json
 import math
+import shutil
 import tempfile
 import typing
 from pathlib import Path
@@ -50,6 +55,13 @@ FIXED = ["x", True, [], 0, -1, 1.5]
 COMMANDS = {"arrays": list(RUNNERS)[:4], "comm": list(RUNNERS)[:4], "tradeoff": ["tradeoff"],
             "se_sweep": ["se-sweep"], "beam_scan": ["beam-scan"], "mc_rmse": ["mc-rmse"],
             "scene": ["mc-rmse"], "isi_demo": ["isi-demo"], "ici_demo": ["ici-demo"]}
+# summary keys that read one grid point, and whether a config holds that point
+GRID_POINTS = {
+    "vec_fc_eta0_gain_dbi": lambda c: "vec" in c.tradeoff.algorithms and 0.0 in c.tradeoff.eta_grid,
+    "vec_fc_eta1_se_bits": lambda c: "vec" in c.tradeoff.algorithms and 1.0 in c.tradeoff.eta_grid,
+    "se_drop_eta06_at_m30db_bits": lambda c: ({0.6, 1.0} <= set(c.se_sweep.etas)
+                                              and -30 in c.se_sweep.snr_grid_db),
+}
 
 
 def _leaves(cls, path=()):
@@ -95,26 +107,56 @@ def _cases():
             yield path, value
 
 
+def _nulls(node, cfg, where=""):
+    """Keys under which a summary holds a null that neither legitimate case explains."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if not isinstance(node, dict):
+        return
+    for key, value in node.items():
+        if value is not None:
+            yield from _nulls(value, cfg, f"{where}{key}.")
+        elif node.get("n_detected") != 0 and GRID_POINTS.get(key, lambda c: True)(cfg):
+            yield f"{where}{key}"
+
+
+def _undefined_outputs(out: Path, cfg) -> list:
+    """Where a run's CSVs and summaries are undefined, minus the two legitimate cases."""
+    bad = []
+    for path in sorted(out.iterdir()):
+        if path.suffix == ".csv":
+            header, *rows = path.read_text().splitlines()[1:]
+            for line in rows:
+                row = dict(zip(header.split(","), line.split(",")))
+                if "nan" in row.values() and row.get("n_detected") != "0":
+                    bad.append(f"{path.name}: {line}")
+        else:
+            bad += [f"{path.name}: {key}" for key in _nulls(json.loads(path.read_text()), cfg)]
+    return bad
+
+
 def test_every_config_field_runs_or_exits_two():
     runs = {}
     for path, value in _cases():
         data = _with(BASE, path, value)
         try:
-            digest = config_digest(config_from_dict(data))
+            cfg = config_from_dict(data)
         except ConfigError as exc:
             assert "\n" not in str(exc), (path, value, str(exc))
             continue
         for command in COMMANDS.get(path[0], RUNNERS):
-            runs.setdefault((digest, command), (data, path, value))
+            runs.setdefault((config_digest(cfg), command), (data, cfg, path, value))
     with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.yaml"
-        for (_, command), (data, path, value) in runs.items():
+        config, out = Path(tmp) / "config.yaml", Path(tmp) / "out"
+        for (_, command), (data, cfg, path, value) in runs.items():
             config.write_text(yaml.safe_dump(data))
+            shutil.rmtree(out, ignore_errors=True)
             err = io.StringIO()
             case = f"{command} with {path} = {value!r}"
             try:
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    rc = cli_main([command, "--config", str(config), "--out", f"{tmp}/out"])
+                    rc = cli_main([command, "--config", str(config), "--out", str(out)])
             except Exception as exc:
                 raise AssertionError(f"{case} raised {exc!r}") from exc
             assert rc == 0, f"{case} exited {rc}: {err.getvalue()}"
+            assert not (bad := _undefined_outputs(out, cfg)), f"{case} wrote undefined {bad}"

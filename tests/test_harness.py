@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
-from thzisac.cli import main as cli_main
+from thzisac.cli import RUNNERS, main as cli_main
 from thzisac.config import (ConfigError, ExperimentConfig, child_rng,
                             config_digest, config_from_dict, load_config)
 from thzisac import experiments
@@ -433,6 +433,22 @@ def test_cli_runs_experiment(tmp_path):
     assert rc == 0
     assert (tmp_path / "out" / "beam_scan.csv").exists()
     assert (tmp_path / "out" / "beam_scan_summary.json").exists()
+
+
+def test_cli_unusable_out_exit_two(tmp_path, capsys, monkeypatch):
+    # an --out that is a file, or lies below one, is reported in one line with
+    # exit 2 before the experiment runs
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ran = []
+    monkeypatch.setitem(RUNNERS, "beam-scan", lambda cfg, out: ran.append(out) or {})
+    for out in (blocker, blocker / "below"):
+        assert cli_main(["beam-scan", "--trials", "1", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("output error: "), lines
+        assert str(out) in lines[0]
+    assert ran == []
+    assert blocker.read_text() == ""
 
 
 def test_package_imports_neither_scipy_nor_a_pool():
