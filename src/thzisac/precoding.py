@@ -138,8 +138,10 @@ def comm_design(channel: CommChannel, ns: int):
     Returns (F, C, target), F and C as PrecoderSets whose analog stage is the
     QR basis of the channel's steering matrix: F[m] = Q_t V[m] and
     C[m] = Q_r U[m], both rank P. The target shares F's arrays. With fewer
-    paths than streams the SVD pads its precoders and combiners outside those
-    spans, and each set is the thin QR of its padded stack instead.
+    paths than streams the analog stages are [Q_t, fill] and [Q_r, fill'],
+    and the digital factors block-diagonal [[V[m], 0], [0, I]]: one fill, the
+    first ns - P unit vectors orthogonalised against span(Q), pads every
+    subcarrier.
     """
     f, c, _, target = _svd_factored(channel, ns)
     return f, c, target
@@ -155,36 +157,31 @@ def _svd_factored(channel: CommChannel, ns: int):
         warnings.warn("channel rank below stream count; zero singular values kept",
                       ModelMismatchWarning)
     m_count, k = gains.shape[1], min(ns, p)
-    # left and right singular vectors in the QR bases, subcarrier-minor: (p, M, ns)
-    u_out = np.zeros((p, m_count, ns), dtype=complex)
-    v = np.zeros((p, m_count, ns), dtype=complex)
+    # left and right singular vectors in the bases [Q, fill], subcarrier-minor
+    # (p + ns - k, M, ns): the SVD's in the first p rows, the fill's identity below
+    u_out = np.zeros((p + ns - k, m_count, ns), dtype=complex)
+    v = np.zeros((p + ns - k, m_count, ns), dtype=complex)
     s_out = np.zeros((m_count, ns))
     for m in range(m_count):
         mid = r_r @ np.diag(gains[:, m]) @ r_t.conj().T
         u, s, vh = np.linalg.svd(mid)
-        u_out[:, m, :k] = u[:, :k]
-        v[:, m, :k] = vh[:k].conj().T
+        u_out[:p, m, :k] = u[:, :k]
+        v[:p, m, :k] = vh[:k].conj().T
         s_out[m, :k] = s[:k]
-    f = PrecoderSet(q_t, v.transpose(1, 0, 2))
-    c = PrecoderSet(q_r, u_out.transpose(1, 0, 2))
-    if k == ns:
-        return f, c, s_out, CommTarget(f.analog, f.digital, _frobenius_sq(v))
-    # the dense padded stacks, each in its own thin QR
-    f, c = _apply_left(f.analog, f.digital), _apply_left(c.analog, c.digital)
-    for m in range(m_count):
-        f[m] = _pad_orthonormal(f[m, :, :k], ns)
-        c[m] = _pad_orthonormal(c[m, :, :k], ns)
-    target, rx = CommTarget.factor(f), CommTarget.factor(c)
-    return (PrecoderSet(target.basis, target.coeffs), PrecoderSet(rx.basis, rx.coeffs),
-            s_out, target)
+    u_out[p:, :, k:] = v[p:, :, k:] = np.eye(ns - k)[:, None, :]
+    f = PrecoderSet(np.hstack([q_t, _fill(q_t, ns - k)]), v.transpose(1, 0, 2))
+    c = PrecoderSet(np.hstack([q_r, _fill(q_r, ns - k)]), u_out.transpose(1, 0, 2))
+    return f, c, s_out, CommTarget(f.analog, f.digital, _frobenius_sq(v))
 
 
-def _pad_orthonormal(mat: np.ndarray, ns: int) -> np.ndarray:
-    """Extend columns to ns with deterministic orthonormal complements."""
-    n, k = mat.shape
-    basis = np.eye(n, dtype=complex)[:, :ns]
-    q, _ = np.linalg.qr(np.hstack([mat, basis]))
-    return q[:, :ns]
+def _fill(q: np.ndarray, count: int) -> np.ndarray:
+    """Unit vectors e_1 ... e_count orthogonalised against span(q), (n, count) orthonormal.
+
+    Each column's sign is the one that makes its diag(R) positive, whatever
+    sign LAPACK's Householder QR picks.
+    """
+    fill, r = np.linalg.qr(np.eye(q.shape[0], count) - q @ q.conj().T[:, :count])
+    return fill * np.where(r.diagonal().real < 0, -1.0, 1.0)
 
 
 def optimal_sensing_precoder(codebook: SensingCodebook, q: int, ns: int) -> np.ndarray:
@@ -210,8 +207,9 @@ def _frobenius_sq(a: np.ndarray) -> float:
 class CommTarget:
     """Comm target F_c[m] = basis @ coeffs[m], in an orthonormal basis of its span.
 
-    For the SVD precoders the basis is the channel's transmit basis Q_t, so
-    r = P paths, and VEC works in r dimensions instead of nt. ``coeffs`` is
+    For the SVD precoders the basis is the channel's transmit basis Q_t, with
+    the fill when fewer paths than streams, so r = max(P, ns), and VEC works
+    in r dimensions instead of nt. ``coeffs`` is
     (M, r, ns), stored subcarrier-minor so all M read as one r x (M ns)
     matrix. Factored once, one target serves every design on its channel.
     """

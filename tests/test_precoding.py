@@ -616,8 +616,8 @@ def test_factored_kernels_match_dense(kind, eta, rng):
 def test_comm_design_factors_the_svd_precoders(ns, rng):
     # P = 2 paths: at ns = 2 the precoders are the SVD's own Q_t V and the
     # combiners Q_r U; at ns = 3 the SVD pads both outside span(Q_t) and
-    # span(Q_r), and each set is the thin QR of its padded stack. The target
-    # shares the precoders' arrays either way
+    # span(Q_r) with one shared fill column each. The target shares the
+    # precoders' arrays either way
     geom = UpaGeometry(4, 3)
     chan = sample_comm_channel(geom, geom, FrameConfig(5, 4, 8, 1.92e6, 0.3e12), rng,
                                num_nlos=1)
@@ -631,7 +631,7 @@ def test_comm_design_factors_the_svd_precoders(ns, rng):
     np.testing.assert_array_equal(f2.tx_matrices(), f)
     np.testing.assert_array_equal(c2.tx_matrices(), c)
     assert target.basis is f2.analog and target.coeffs is f2.digital
-    assert target.basis.shape == (12, 2 if ns == 2 else 12)
+    assert target.basis.shape == (12, ns)
     a_r, a_t, _ = chan.factors()
     basis, basis_r = np.linalg.qr(a_t)[0], np.linalg.qr(a_r)[0]
     if ns == 2:
@@ -644,6 +644,43 @@ def test_comm_design_factors_the_svd_precoders(ns, rng):
             assert np.isclose(np.linalg.norm(outside) ** 2, 5.0, rtol=1e-12)
     _assert_rel(np.einsum("tr,mrs->mts", target.basis, target.coeffs), f)
     assert np.isclose(target.energy, 5 * ns, rtol=1e-12)
+
+
+@pytest.mark.parametrize("num_nlos", (0, 1))
+def test_padded_comm_design_shares_one_fill(num_nlos, rng):
+    # P = 1 or 2 paths for ns = 4 streams: the analog stages are [Q, fill],
+    # with the unpadded design's Q and one fill for every subcarrier, and the
+    # digital factors are [[V[m], 0], [0, I]], with the unpadded design's V
+    geom = UpaGeometry(4, 3)
+    chan = sample_comm_channel(geom, geom, FrameConfig(5, 4, 8, 1.92e6, 0.3e12), rng,
+                               num_nlos=num_nlos)
+    p, ns = num_nlos + 1, 4
+    with pytest.warns(ModelMismatchWarning, match="rank below stream count"):
+        f, c, target = comm_design(chan, ns)
+    f_p, c_p, _ = comm_design(chan, p)
+    assert target.basis is f.analog and target.coeffs is f.digital
+    assert target.basis.shape == (12, ns)
+    identity = np.broadcast_to(np.eye(ns - p), (5, ns - p, ns - p))
+    for padded, unpadded in ((f, f_p), (c, c_p)):
+        np.testing.assert_array_equal(padded.analog[:, :p], unpadded.analog)
+        np.testing.assert_array_equal(padded.digital[:, :p, :p], unpadded.digital)
+        np.testing.assert_array_equal(padded.digital[:, p:, p:], identity)
+        assert not padded.digital[:, p:, :p].any() and not padded.digital[:, :p, p:].any()
+        fill = padded.analog[:, p:]
+        np.testing.assert_allclose(fill.conj().T @ fill, np.eye(ns - p), atol=1e-12)
+        np.testing.assert_allclose(unpadded.analog.conj().T @ fill, 0, atol=1e-12)
+        # fill = e_j minus its projections, over a positive diag(R): fill[j, j] = R_jj > 0
+        assert np.all(fill.diagonal().real > 0)
+        np.testing.assert_allclose(fill.diagonal().imag, 0, atol=1e-12)
+    with pytest.warns(ModelMismatchWarning, match="rank below stream count"):
+        f_d, c_d, _ = optimal_fully_digital_dense(
+            [comm_channel_matrix(chan, m) for m in range(5)], ns)
+    for rho in (0.3, 40.0):
+        se = spectral_efficiency(chan, f, c, rho, 0.7)
+        assert np.isclose(se, spectral_efficiency_dense(chan, f.tx_matrices(), c.tx_matrices(),
+                                                        rho, 0.7), rtol=ORACLE_RTOL, atol=0)
+        assert np.isclose(se, spectral_efficiency_dense(chan, f_d, c_d, rho, 0.7),
+                          rtol=ORACLE_RTOL, atol=0)
 
 
 def test_combined_receiver_rates_every_design_like_dense(small_setup, rng):
@@ -754,3 +791,19 @@ def test_precoding_transient_memory_bound():
     receiver = combined_receiver(chan, comb, 1.0)
     a_t_h = chan.factors()[1].conj().T
     assert _traced_peak(lambda: receiver.rate(pre.beam_response(a_t_h), 0.01)) <= 0.5 * mib
+
+
+@pytest.mark.parametrize("num_nlos", (0, 1))
+def test_padded_comm_design_memory_bound(num_nlos):
+    # the shipped tradeoff size with P = 1 or 2 paths for ns = 4: the padded
+    # design is one (nt, ns - P) fill and (M, ns, ns) digital factors, so it
+    # peaks near the unpadded design's 0.24 MiB, not at the 24.3 MiB of
+    # per-subcarrier padded (M, nt, ns) stacks in their own thin QR
+    geom = UpaGeometry(32, 32)
+    frame = FrameConfig(64, 16, 32, 1.92e6, 0.3e12)
+    chan = sample_comm_channel(geom, geom, frame, np.random.default_rng(5), num_nlos=num_nlos)
+    chan.factors()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelMismatchWarning)  # asserted in the test above
+        assert _traced_peak(comm_design, chan, 4) <= 2.0 ** 20
+        assert comm_design(chan, 4)[2].basis.shape == (1024, 4)
