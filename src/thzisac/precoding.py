@@ -138,10 +138,8 @@ def comm_design(channel: CommChannel, ns: int):
     Returns (F, C, target), F and C as PrecoderSets whose analog stage is the
     QR basis of the channel's steering matrix: F[m] = Q_t V[m] and
     C[m] = Q_r U[m], both rank P. The target shares F's arrays. With fewer
-    paths than streams the analog stages are [Q_t, fill] and [Q_r, fill'],
-    and the digital factors block-diagonal [[V[m], 0], [0, I]]: one fill, the
-    first ns - P unit vectors orthogonalised against span(Q), pads every
-    subcarrier.
+    paths than streams one fill pads every subcarrier: analog [Q, fill] and
+    digital [[V[m], 0], [0, I]], on each side.
     """
     f, c, _, target = _svd_factored(channel, ns)
     return f, c, target
@@ -175,11 +173,7 @@ def _svd_factored(channel: CommChannel, ns: int):
 
 
 def _fill(q: np.ndarray, count: int) -> np.ndarray:
-    """Unit vectors e_1 ... e_count orthogonalised against span(q), (n, count) orthonormal.
-
-    Each column's sign is the one that makes its diag(R) positive, whatever
-    sign LAPACK's Householder QR picks.
-    """
+    """e_1 ... e_count orthonormalised against span(q), signed for a positive diag(R)."""
     fill, r = np.linalg.qr(np.eye(q.shape[0], count) - q @ q.conj().T[:, :count])
     return fill * np.where(r.diagonal().real < 0, -1.0, 1.0)
 
@@ -207,10 +201,9 @@ def _frobenius_sq(a: np.ndarray) -> float:
 class CommTarget:
     """Comm target F_c[m] = basis @ coeffs[m], in an orthonormal basis of its span.
 
-    For the SVD precoders the basis is the channel's transmit basis Q_t, with
-    the fill when fewer paths than streams, so r = max(P, ns), and VEC works
-    in r dimensions instead of nt. ``coeffs`` is
-    (M, r, ns), stored subcarrier-minor so all M read as one r x (M ns)
+    For the SVD precoders the basis is Q_t, padded to ns columns when P < ns,
+    so r = max(P, ns), and VEC works in r dimensions instead of nt. ``coeffs``
+    is (M, r, ns), stored subcarrier-minor so all M read as one r x (M ns)
     matrix. Factored once, one target serves every design on its channel.
     """
 

@@ -82,8 +82,8 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
     y_q[m,n] = W^H H_s[m,n] F_RF F_BB[m] s[m,n] + W^H e[m,n], evaluated through
     the rank-P factorization of H_s so large arrays stay tall-skinny. The
     combined noise W^H e ~ CN(0, sigma^2 W^H W) is drawn in the RF-chain
-    domain: n_rf white rows coloured by an eigen factor of the Gram W^H W,
-    which also holds when the Gram is singular.
+    domain: n_rf white rows coloured by R^H from W = QR, continuous in W also
+    where the Gram W^H W is degenerate or singular.
     """
     if check_model:
         check_isi_ici_free(scene, frame)
@@ -104,9 +104,9 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
         phase = np.exp(-2j * np.pi * m_idx[:, None] * frame.delta_f * tgt.delay()) \
             * np.exp(2j * np.pi * t_sym[None, :] * tgt.doppler(frame.fc))
         y3 += scale * tgt.coeff * c_p[:, None, None] * (phase * xi)[None]
-    lam, vecs = np.linalg.eigh(combiner.matrix.conj().T @ combiner.matrix)
+    r = np.linalg.qr(combiner.matrix, mode="r")
     noise = awgn((combiner.n_rf, m_sc * n_sym), scene.noise_power, rng)
-    y3 += ((vecs * np.sqrt(np.maximum(lam, 0.0))) @ noise).reshape(combiner.n_rf, m_sc, n_sym)
+    y3 += (r.conj().T @ noise).reshape(combiner.n_rf, m_sc, n_sym)
     return ObservationBlock(y=y3)
 
 

@@ -10,34 +10,56 @@ A change meant to alter results regenerates the files it alters with
 keep them reports how far they moved with
     PYTHONPATH=src python tests/test_golden.py --drift [case ...]
 which prints each case's worst relative float drift and writes nothing.
+
+Every case must also be well conditioned in its random draws: scaling every
+float that experiments.child_rng draws by 1 +- AUDIT_DELTA may move no float
+cell by more than MAX_AMPLIFICATION * AUDIT_DELTA relative, so a round-off
+change in a kernel cannot move a golden by O(1).
+    PYTHONPATH=src python tests/test_golden.py --conditioning [case ...]
+prints each case's worst amplification (relative move / delta) and writes nothing.
 """
 
 import json
 import math
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from thzisac import experiments
+from thzisac.channel import ModelMismatchWarning
 from thzisac.cli import RUNNERS
+from thzisac.config import child_rng
 
 from test_harness import _tiny_config
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_RTOL = 1e-9
-# at eta in {0, 0.5, 1} VEC's (eta, 1-eta) and SCA's (sqrt(eta), sqrt(1-eta))
-# target weightings give the same normalized target; one case at eta = 0.3
-# tells them apart
-CASES = sorted(RUNNERS) + ["tradeoff-eta0.3"]
+AUDIT_DELTA = 1e-13
+MAX_AMPLIFICATION = 1e7
+# case -> (runner, {config section: {field: value}}) for the cases beyond one
+# per runner at the tiny config
+VARIANTS = {
+    # at eta in {0, 0.5, 1} VEC's (eta, 1-eta) and SCA's (sqrt(eta), sqrt(1-eta))
+    # target weightings give the same normalized target; eta = 0.3 tells them apart
+    "tradeoff-eta0.3": ("tradeoff", {"tradeoff": {"eta_grid": [0.3]}}),
+    # P = 2 paths for 4 streams: the SVD design pads with its shared fill
+    "tradeoff-p2": ("tradeoff", {"comm": {"num_nlos": 1},
+                                 "tradeoff": {"eta_grid": [0.0, 0.3, 0.5, 1.0]}}),
+}
+CASES = sorted(RUNNERS) + sorted(VARIANTS)
 
 
 def runner_outputs(case: str, out_dir: Path) -> dict:
     """File name -> CSV lines after the provenance line, or summary minus config_sha."""
-    name, _, eta = case.partition("-eta")
+    name, edits = VARIANTS.get(case, (case, {}))
     cfg = _tiny_config(trials=2)
-    if eta:
-        cfg.tradeoff.eta_grid = [float(eta)]
+    for section, fields in edits.items():
+        for key, value in fields.items():
+            setattr(getattr(cfg, section), key, value)
     RUNNERS[name](cfg, str(out_dir))
     outputs = {}
     for path in sorted(out_dir.iterdir()):
@@ -107,13 +129,66 @@ def worst_drift(got, want, where: str = ""):
     return (0.0 if type(got) is type(want) and got == want else math.inf), where
 
 
+class _ScaledDraws:
+    """A Generator whose float draws come out scaled by 1 + delta; other draws are its own."""
+
+    def __init__(self, rng: np.random.Generator, delta: float):
+        self._rng, self._scale = rng, 1.0 + delta
+
+    def __getattr__(self, name):
+        draw = getattr(self._rng, name)
+
+        def scaled(*args, **kwargs):
+            out = draw(*args, **kwargs)
+            return out * self._scale if np.asarray(out).dtype.kind == "f" else out
+        return scaled
+
+
+def worst_amplification(case: str, tmp: Path, delta: float = AUDIT_DELTA):
+    """(largest relative float-cell move / delta, where) when every float that
+    experiments.child_rng draws is scaled by 1 + delta and by 1 - delta."""
+    worst = (0.0, "")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelMismatchWarning)  # asserted in the golden test
+        base = _cells(runner_outputs(case, tmp / "base"))
+        for sign in (1, -1):
+            scaled = lambda *key, d=sign * delta: _ScaledDraws(child_rng(*key), d)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(experiments, "child_rng", scaled)
+                moved, where = worst_drift(_cells(runner_outputs(case, tmp / f"{sign:+}")), base)
+            worst = max(worst, (moved / delta, where), key=lambda w: w[0])
+    return worst
+
+
 def _golden(case: str) -> dict:
     return json.loads((GOLDEN / f"{case}.json").read_text())
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_runner_matches_golden(case, tmp_path):
-    assert_matches(_cells(runner_outputs(case, tmp_path)), _cells(_golden(case)), case)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outputs = runner_outputs(case, tmp_path)
+    # the padded case's SVD design warns once per channel draw; no other case warns
+    want = (2 * ["channel rank below stream count; zero singular values kept"]
+            if case == "tradeoff-p2" else [])
+    assert [str(w.message) for w in caught] == want
+    assert all(w.category is ModelMismatchWarning for w in caught)
+    assert_matches(_cells(outputs), _cells(_golden(case)), case)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_runner_is_well_conditioned_in_its_draws(case, tmp_path):
+    amplification, where = worst_amplification(case, tmp_path)
+    assert amplification <= MAX_AMPLIFICATION, f"{case}: {amplification:.3g} at {where}"
+
+
+def test_scaled_draws_scale_floats_only():
+    draws = _ScaledDraws(np.random.default_rng(3), 0.5)
+    rng = np.random.default_rng(3)
+    np.testing.assert_array_equal(draws.standard_normal(4), 1.5 * rng.standard_normal(4))
+    assert draws.uniform(0.0, 2.0) == 1.5 * rng.uniform(0.0, 2.0)
+    np.testing.assert_array_equal(draws.integers(0, 9, size=5), rng.integers(0, 9, size=5))
 
 
 def test_worst_drift_measures_float_cells():
@@ -135,17 +210,29 @@ def test_drift_report_of_unchanged_case_is_zero(capsys):
     assert (GOLDEN / "ici-demo.json").stat().st_mtime_ns == before
 
 
+def test_conditioning_report_prints_and_writes_nothing(capsys):
+    before = (GOLDEN / "tradeoff-eta0.3.json").stat().st_mtime_ns
+    main(["--conditioning", "tradeoff-eta0.3"])
+    case, amplification, *_ = capsys.readouterr().out.split()
+    assert case == "tradeoff-eta0.3" and 0.0 <= float(amplification) <= MAX_AMPLIFICATION
+    assert (GOLDEN / "tradeoff-eta0.3.json").stat().st_mtime_ns == before
+
+
 def main(argv):
-    drift = argv[:1] == ["--drift"]
-    wanted = argv[drift:] or CASES
+    mode = argv[0] if argv[:1] in (["--drift"], ["--conditioning"]) else None
+    wanted = argv[mode is not None:] or CASES
     unknown = sorted(set(wanted) - set(CASES))
     if unknown:
         sys.exit(f"unknown golden cases {unknown}; known: {CASES}")
     GOLDEN.mkdir(exist_ok=True)
     for case in wanted:
         with tempfile.TemporaryDirectory() as tmp:
+            if mode == "--conditioning":
+                amplification, where = worst_amplification(case, Path(tmp))
+                print(f"{case} {amplification:.3g}" + (f" {where}" if amplification else ""))
+                continue
             data = runner_outputs(case, Path(tmp))
-        if drift:
+        if mode == "--drift":
             worst, where = worst_drift(_cells(data), _cells(_golden(case)))
             print(f"{case} {worst:.3g}" + (f" {where}" if worst else ""))
             continue
