@@ -144,19 +144,19 @@ class _ScaledDraws:
         return scaled
 
 
-def worst_amplification(case: str, tmp: Path, delta: float = AUDIT_DELTA):
-    """(largest relative float-cell move / delta, where) when every float that
-    experiments.child_rng draws is scaled by 1 + delta and by 1 - delta."""
+def worst_amplification(case: str, tmp: Path):
+    """(largest relative float-cell move / AUDIT_DELTA, where) when every float
+    that experiments.child_rng draws is scaled by 1 + AUDIT_DELTA and by 1 - AUDIT_DELTA."""
     worst = (0.0, "")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelMismatchWarning)  # asserted in the golden test
         base = _cells(runner_outputs(case, tmp / "base"))
         for sign in (1, -1):
-            scaled = lambda *key, d=sign * delta: _ScaledDraws(child_rng(*key), d)
+            scaled = lambda *key, d=sign * AUDIT_DELTA: _ScaledDraws(child_rng(*key), d)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(experiments, "child_rng", scaled)
                 moved, where = worst_drift(_cells(runner_outputs(case, tmp / f"{sign:+}")), base)
-            worst = max(worst, (moved / delta, where), key=lambda w: w[0])
+            worst = max(worst, (moved / AUDIT_DELTA, where), key=lambda w: w[0])
     return worst
 
 
