@@ -188,10 +188,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=None,
                         help="default: every workload in BENCHMARK.json")
     parser.add_argument("--work-dir", default=None,
-                        help="where the two trees are unpacked (default: a temporary directory)")
+                        help="where the two trees are unpacked, created if missing "
+                             "(default: a temporary directory)")
     args = parser.parse_args(argv)
     if args.seeds[0] < 0 or args.seeds[1] < 1:
         parser.error("--seeds needs FIRST >= 0 and COUNT >= 1")
+    if args.work_dir is not None:
+        try:
+            os.makedirs(args.work_dir, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"--work-dir {args.work_dir}: {exc.strerror}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]

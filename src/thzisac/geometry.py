@@ -67,7 +67,11 @@ def steering_factors(thetas, phi: float, geom: UpaGeometry) -> tuple:
     thetas = np.asarray(thetas, dtype=float)
     w = np.arange(geom.w_count)
     l = np.arange(geom.l_count)
-    a_y = np.exp(1j * np.pi * np.outer(w, np.sin(thetas) * np.sin(phi))) / np.sqrt(geom.w_count)
+    # in place: the same operations in the same order as
+    # exp(1j*pi*outer) / sqrt(W), without two full-size complex temporaries
+    a_y = np.multiply(1j * np.pi, np.outer(w, np.sin(thetas) * np.sin(phi)))
+    np.exp(a_y, out=a_y)
+    a_y /= np.sqrt(geom.w_count)
     a_z = np.exp(1j * np.pi * l * np.cos(phi)) / np.sqrt(geom.l_count)
     return a_z, a_y
 

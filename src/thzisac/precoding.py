@@ -16,7 +16,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .channel import CommChannel, ModelMismatchWarning
-from .geometry import SensingCodebook, UpaGeometry, steering_many
+from .geometry import SensingCodebook, UpaGeometry, steering_factors
 
 
 @dataclass(frozen=True)
@@ -495,11 +495,14 @@ def transmit_beampattern(f_rf: np.ndarray, f_bb: np.ndarray, angles: np.ndarray,
     gain(theta) = (Nt / (M*Ns)) sum_m ||a^H(theta) F_RF F_BB[m]||^2, which
     averages to 0 dBi over a uniform sin-spaced grid for any power-normalized
     precoder set and peaks at 10 log10(Nt) for a full coherent beam.
+    a^H(theta) F_RF is formed through the Kronecker factors a_z kron a_y(theta):
+    conj(a_z) is folded into F_RF once, leaving a (grid, W) by (W, n_rf) product.
     """
-    a_grid = steering_many(np.asarray(angles, dtype=float), elevation, geom)
+    a_z, a_y = steering_factors(angles, elevation, geom)
     m_count, _, ns = f_bb.shape
-    # einsum, not matmul: a real f_rf would be cast to a complex copy first
-    proj = np.einsum("tg,tr->gr", a_grid.conj(), f_rf)
+    # einsum, not tensordot: a real f_rf would be cast to a complex copy first
+    f_y = np.einsum("l,lwr->wr", a_z.conj(), f_rf.reshape(a_z.size, a_y.shape[0], -1))
+    proj = a_y.conj().T @ f_y
     resp = _apply_left(proj, f_bb)
     gain = geom.n_elements / (m_count * ns) * np.sum(np.abs(resp) ** 2, axis=(0, 2))
     if db:

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 
 from thzisac.channel import ModelMismatchWarning, check_isi_ici_free
-from thzisac.geometry import steering_upa
+from thzisac.geometry import steering_many, steering_upa
 from thzisac.isi_ici import apply_channel_operator
 from thzisac.waveform import FrameConfig
 
@@ -50,6 +50,30 @@ def steering_scalar_loop(theta, phi, w_count, l_count):
             phase = np.pi * (w * np.sin(theta) * np.sin(phi) + l * np.cos(phi))
             out[l * w_count + w] = np.exp(1j * phase)
     return out / np.sqrt(w_count * l_count)
+
+
+def steering_y_closed_form(thetas, phi, w_count):
+    """The y-factor a_y of the UPA response as one expression, (w_count, len(thetas)).
+
+    exp(j*pi*outer(w, sin(theta)*sin(phi))) / sqrt(W), with its full-size
+    temporaries; the library builds the same table in place.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    w = np.arange(w_count)
+    return np.exp(1j * np.pi * np.outer(w, np.sin(thetas) * np.sin(phi))) / np.sqrt(w_count)
+
+
+def transmit_beampattern_dense(f_rf, f_bb, angles, geom, elevation=np.pi / 2, db=True):
+    """(Nt / (M*Ns)) sum_m ||a^H(theta) F_RF F_BB[m]||^2 from dense (Nt, grid) steering columns."""
+    a_grid = steering_many(np.asarray(angles, dtype=float), elevation, geom)
+    m_count, _, ns = f_bb.shape
+    gain = np.zeros(a_grid.shape[1])
+    for m in range(m_count):
+        gain += np.sum(np.abs(a_grid.conj().T @ (f_rf @ f_bb[m])) ** 2, axis=1)
+    gain *= geom.n_elements / (m_count * ns)
+    if db:
+        return 10.0 * np.log10(np.maximum(gain, 1e-30))
+    return gain
 
 
 def bruteforce_rx(targets, pair, frame):

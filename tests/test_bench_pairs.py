@@ -136,3 +136,27 @@ def test_main_records_each_side_source_lines(monkeypatch, tmp_path):
                              "--work-dir", str(tmp_path)]) == 0
     report = json.loads(out.read_text())
     assert report["src_lines"] == {"parent": 11, "change": 8, "shift": -3}
+
+
+def test_main_creates_a_missing_work_dir(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_pairs, "unpack", lambda rev, dest: rev)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda tree, workload, seed, seconds, trace=0:
+                        _run(tree.name, 0, 1.0, 50.0))
+    work = tmp_path / "not" / "yet"
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "7", "1",
+                             "--workloads", "w", "--out", str(out),
+                             "--work-dir", str(work)]) == 0
+    assert work.is_dir() and out.exists()
+
+
+def test_main_rejects_a_work_dir_it_cannot_make(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a, **k: pytest.fail("ran"))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "7", "1",
+                          "--out", str(tmp_path / "BENCH.json"),
+                          "--work-dir", str(blocker / "sub")])
+    assert exc.value.code == 2
+    assert "--work-dir" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from thzisac.geometry import (AngularWindow, UpaGeometry, codebook_direction,
                               dft_codebook, sensing_window, slot_for_angle,
                               steering_factors, steering_many, steering_upa)
 
-from oracles import steering_scalar_loop
+from thzisac.sensing_rx import music_grid
+
+from oracles import steering_scalar_loop, steering_y_closed_form
 
 
 def test_steering_two_element_endfire():
@@ -69,6 +73,39 @@ def test_steering_factors_kron_matches_scalar_loop(w_count, l_count, rng):
     for k, th in enumerate(thetas):
         np.testing.assert_allclose(np.kron(a_z, a_y[:, k]),
                                    steering_scalar_loop(th, phi, w_count, l_count), atol=1e-13)
+
+
+def _mc_rmse_grid():
+    """The shipped mc-rmse MUSIC grid: the 70 deg target's mirrored slot window, 0.01 deg steps."""
+    geom = UpaGeometry(32, 32)
+    search = sensing_window(slot_for_angle(np.deg2rad(70.0), geom), geom).mirrored()
+    angles = music_grid(search, 0.01, geom).angles
+    assert angles.size == 2037
+    return angles
+
+
+@pytest.mark.parametrize("w_count,l_count", [(32, 32), (8, 4), (4, 8)])
+@pytest.mark.parametrize("phi", [np.pi / 2, 1.2, 0.3])
+def test_steering_factors_bitwise_equal_closed_form(w_count, l_count, phi):
+    # the in-place build runs the closed form's operations in the same order
+    geom = UpaGeometry(w_count, l_count)
+    grid = _mc_rmse_grid()
+    for thetas in (grid[:1], grid):
+        a_y = steering_factors(thetas, phi, geom)[1]
+        assert np.array_equal(a_y, steering_y_closed_form(thetas, phi, w_count))
+
+
+def test_steering_factors_build_memory_bound():
+    # one complex table plus its float phase product: 1.63x a_y.nbytes,
+    # where exp(...) / sqrt(W) with two full-size complex temporaries reads 2.0x
+    grid = _mc_rmse_grid()
+    tracemalloc.start()
+    try:
+        a_y = steering_factors(grid, np.pi / 2, UpaGeometry(32, 32))[1]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * a_y.nbytes
 
 
 def test_codebook_direction_grid_value():

@@ -20,7 +20,8 @@ from thzisac.waveform import FrameConfig
 
 from oracles import (comm_channel_matrix, normalized_lstsq_dense, optimal_fully_digital_dense,
                      phase_update_dense, procrustes_dense, random_semi_unitary,
-                     spectral_efficiency_dense, weighted_objective_dense)
+                     spectral_efficiency_dense, transmit_beampattern_dense,
+                     weighted_objective_dense)
 
 
 @pytest.fixture
@@ -455,6 +456,27 @@ def test_beampattern_power_conservation(rng):
     assert max(totals) / min(totals) < 1.01
 
 
+@pytest.mark.parametrize("n_closed", (4, 8, 16))  # AoSA, partial, FC on 4 chains
+@pytest.mark.parametrize("m_count", (1, 64))
+@pytest.mark.parametrize("w_count,l_count,elevation", [(8, 4, 1.2), (4, 8, 0.3), (8, 4, np.pi / 2)])
+def test_beampattern_matches_dense_steering(n_closed, m_count, w_count, l_count, elevation, rng):
+    # non-square arrays off broadside, so a swapped y/z fold of a_z fails
+    geom = UpaGeometry(w_count, l_count)
+    nt, ns = geom.n_elements, 2
+    mask = default_switch_pattern(4, n_closed, nt // 4).expand()
+    f_rf = mask * np.exp(2j * np.pi * rng.uniform(size=mask.shape)) / np.sqrt(nt)
+    f_bb = rng.standard_normal((m_count, 4, ns)) + 1j * rng.standard_normal((m_count, 4, ns))
+    grid = np.deg2rad(np.arange(-90.0, 90.05, 0.5))
+    # a real analog, as criterion 8 passes: eye(nt) with fully digital stacks
+    f_full = rng.standard_normal((m_count, nt, ns)) + 1j * rng.standard_normal((m_count, nt, ns))
+    for analog, digital in ((f_rf, f_bb), (np.eye(nt), f_full)):
+        want = transmit_beampattern_dense(analog, digital, grid, geom, elevation, db=False)
+        lin = transmit_beampattern(analog, digital, grid, geom, elevation, db=False)
+        in_db = transmit_beampattern(analog, digital, grid, geom, elevation)
+        _assert_rel(lin, want, 1e-12)
+        _assert_rel(10.0 ** (in_db / 10.0), want, 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # RF-domain kernels against their dense definitions
 # ---------------------------------------------------------------------------
@@ -791,6 +813,11 @@ def test_precoding_transient_memory_bound():
     receiver = combined_receiver(chan, comb, 1.0)
     a_t_h = chan.factors()[1].conj().T
     assert _traced_peak(lambda: receiver.rate(pre.beam_response(a_t_h), 0.01)) <= 0.5 * mib
+    # the beam-scan pattern over 1801 angles folds a_z into F_RF: its largest
+    # array is the (grid, M*ns) response, 7.4 MB, for a 12 MB peak; dense
+    # (nt, grid) steering columns and their conjugate read 59 MB
+    grid = np.deg2rad(np.arange(-90.0, 90.05, 0.1))
+    assert _traced_peak(transmit_beampattern, pre.analog, pre.digital, grid, geom) <= 16 * mib
 
 
 @pytest.mark.parametrize("num_nlos", (0, 1))
