@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from thzisac.geometry import (AngularWindow, UpaGeometry, codebook_direction,
                               dft_codebook, sensing_window, slot_for_angle,
                               steering_factors, steering_many, steering_upa)
-
 from thzisac.sensing_rx import music_grid
 
 from oracles import steering_scalar_loop, steering_y_closed_form
