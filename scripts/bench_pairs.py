@@ -198,6 +198,14 @@ def main(argv=None) -> int:
             os.makedirs(args.work_dir, exist_ok=True)
         except OSError as exc:
             parser.error(f"--work-dir {args.work_dir}: {exc.strerror}")
+    # the report is written after every run, so a path it cannot take would lose them all
+    out_dir = Path(args.out).resolve().parent
+    if Path(args.out).is_dir():
+        parser.error(f"--out {args.out}: is a directory")
+    if not out_dir.is_dir():
+        parser.error(f"--out {args.out}: no directory {out_dir}")
+    if not os.access(out_dir, os.W_OK):
+        parser.error(f"--out {args.out}: directory {out_dir} is not writable")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in bench["workloads"]]

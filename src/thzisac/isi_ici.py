@@ -549,7 +549,8 @@ def _cancel(y: np.ndarray, count: int, detect, response) -> list:
     Each pass detects the strongest remaining target with detect(residual),
     fits alpha = <h, r> / ||h||^2 on its model response h = response(est) and
     subtracts alpha * h. Returns [(estimate, alpha)], strongest first; shorter
-    than count when detect finds a flat objective.
+    than count when detect finds a flat objective. alpha * h is subtracted in
+    place, bit for bit as residual - alpha * h, and freed before the next pass.
     """
     residual = y.copy()
     results = []
@@ -560,7 +561,8 @@ def _cancel(y: np.ndarray, count: int, detect, response) -> list:
             break
         h = response(est)
         alpha = np.vdot(h, residual) / np.vdot(h, h).real
-        residual = residual - alpha * h
+        np.subtract(residual, np.multiply(alpha, h, out=h), out=residual)
+        del h
         results.append((est, alpha))
     return results
 

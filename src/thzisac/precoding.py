@@ -244,23 +244,24 @@ class PrecodingTargets:
 
 
 def _rf_projections(targets: PrecodingTargets, f_rf: np.ndarray):
-    """F_RF^H F_c[m] = (F_RF^H Q) V[m] stacked (M, n_rf, ns), and F_RF^H F_s (n_rf, ns)."""
-    f_rf_h = f_rf.conj().T
-    comm = targets.comm
-    return _apply_left(f_rf_h @ comm.basis, comm.coeffs), f_rf_h @ targets.sense_opt
+    """F_RF^H F_c[m] = (F_RF^H Q) V[m] (M, n_rf, ns), F_RF^H F_s and the Gram F_RF^H F_RF."""
+    f_rf_h, comm = f_rf.conj().T, targets.comm
+    return (_apply_left(f_rf_h @ comm.basis, comm.coeffs), f_rf_h @ targets.sense_opt,
+            f_rf_h @ f_rf)
 
 
 def weighted_objective(targets: PrecodingTargets, f_rf: np.ndarray,
-                       f_bb: np.ndarray) -> float:
+                       f_bb: np.ndarray, proj: tuple = None) -> float:
     """(1/M) sum_m eta||F_c - F F_BB||^2 + (1-eta)||F_s - F F_BB||^2.
 
     Each distance is evaluated in the RF domain as ||F_c||^2 - 2 Re tr(F_c^H F
     F_BB) + tr(F_BB^H F^H F F_BB), from the n_rf x ns projections F^H F_c and
     F^H F_s and the n_rf x n_rf Gram matrix, so no (M, nt, ns) product is formed.
+    proj, when given, is _rf_projections(targets, f_rf), formed once by the caller.
     """
     eta, m_count = targets.eta, f_bb.shape[0]
-    p_c, p_s = _rf_projections(targets, f_rf)
-    power = np.vdot(f_bb, (f_rf.conj().T @ f_rf) @ f_bb).real
+    p_c, p_s, gram = proj or _rf_projections(targets, f_rf)
+    power = np.vdot(f_bb, gram @ f_bb).real
     cross_c = np.vdot(p_c, f_bb).real
     cross_s = np.vdot(p_s, f_bb.sum(axis=0)).real
     comm_energy, sense_energy = targets.energies
@@ -269,16 +270,17 @@ def weighted_objective(targets: PrecodingTargets, f_rf: np.ndarray,
     return float((eta * e_c + (1.0 - eta) * e_s) / m_count)
 
 
-def vec_digital_update(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
+def vec_digital_update(targets: PrecodingTargets, f_rf: np.ndarray,
+                       proj: tuple = None) -> np.ndarray:
     """Semi-unitary digital precoders from the orthogonal-Procrustes step.
 
     For each m, F_BB[m] = V1 U^H with U S V^H the SVD of G[m]^H B, where G
     stacks the sqrt-weighted targets and B the correspondingly weighted analog
-    precoder. Returns (M, n_rf, ns).
+    precoder. Returns (M, n_rf, ns). proj is as in weighted_objective.
     """
     eta = targets.eta
     # B^H G = eta F_RF^H F_c + (1-eta) F_RF^H F_s without forming the stacks
-    p_c, p_s = _rf_projections(targets, f_rf)
+    p_c, p_s, _ = proj or _rf_projections(targets, f_rf)
     ghb = (eta * p_c + (1.0 - eta) * p_s).conj().swapaxes(1, 2)
     u, _, vh = np.linalg.svd(ghb, full_matrices=False)
     return vh.conj().swapaxes(1, 2) @ u.conj().swapaxes(1, 2)
@@ -363,15 +365,17 @@ def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
     """
     rng = np.random.default_rng(0) if rng is None else rng
     f_rf = _random_phase_analog(switch, rng)
+    proj = _rf_projections(targets, f_rf)
     trace = []
     prev_obj = None
     converged = False
     f_bb = None
     for _ in range(max_iter):
-        f_bb = vec_digital_update(targets, f_rf)
-        trace.append(weighted_objective(targets, f_rf, f_bb))
+        f_bb = vec_digital_update(targets, f_rf, proj)
+        trace.append(weighted_objective(targets, f_rf, f_bb, proj))
         f_rf = vec_analog_update(targets, f_bb, switch, prev=f_rf)
-        obj = weighted_objective(targets, f_rf, f_bb)
+        proj = _rf_projections(targets, f_rf)
+        obj = weighted_objective(targets, f_rf, f_bb, proj)
         trace.append(obj)
         if prev_obj is not None and abs(prev_obj - obj) <= tol * max(abs(prev_obj), 1e-30):
             converged = True

@@ -11,7 +11,9 @@ import numpy as np
 
 from thzisac.channel import ModelMismatchWarning, check_isi_ici_free
 from thzisac.geometry import steering_many, steering_upa
-from thzisac.isi_ici import apply_channel_operator
+from thzisac.isi_ici import FlatObjectiveError, apply_channel_operator
+from thzisac.precoding import (_random_phase_analog, vec_analog_update, vec_digital_update,
+                               weighted_objective)
 from thzisac.waveform import FrameConfig
 
 
@@ -110,6 +112,26 @@ def tackled_objective(y, pair, frame, tau, nu):
 def matched_objective(y, pair, frame):
     """tackled_objective as a callable of (tau, nu)."""
     return lambda tau, nu: tackled_objective(y, pair, frame, tau, nu)
+
+
+def cancel_out_of_place(y, count, detect, response):
+    """The successive-cancellation loop with residual = residual - alpha * h.
+
+    The same detect / fit / subtract passes as isi_ici._cancel, each pass
+    building a new residual array: the reference for its in-place subtraction.
+    """
+    residual = y.copy()
+    results = []
+    for _ in range(count):
+        try:
+            est = detect(residual)
+        except FlatObjectiveError:
+            break
+        h = response(est)
+        alpha = np.vdot(h, residual) / np.vdot(h, h).real
+        residual = residual - alpha * h
+        results.append((est, alpha))
+    return results
 
 
 def comm_channel_matrix(chan, m):
@@ -238,6 +260,26 @@ def procrustes_dense(comm_opt, sense_opt, eta, f_rf):
         u, _, vh = np.linalg.svd(b.conj().T @ g, full_matrices=False)
         out.append(u @ vh)
     return np.stack(out)
+
+
+def vec_unshared(targets, switch, rng, max_iter=50, tol=1e-4):
+    """vec_hybrid_precoding's loop with each half-step forming its own RF projections.
+
+    Returns (final analog precoder, objective trace). vec_digital_update and
+    weighted_objective are called without shared projections, so each forms
+    F_RF^H F_c, F_RF^H F_s and the Gram itself: three projections per iteration.
+    """
+    f_rf = _random_phase_analog(switch, rng)
+    trace, prev_obj = [], None
+    for _ in range(max_iter):
+        f_bb = vec_digital_update(targets, f_rf)
+        trace.append(weighted_objective(targets, f_rf, f_bb))
+        f_rf = vec_analog_update(targets, f_bb, switch, prev=f_rf)
+        trace.append(weighted_objective(targets, f_rf, f_bb))
+        if prev_obj is not None and abs(prev_obj - trace[-1]) <= tol * max(abs(prev_obj), 1e-30):
+            break
+        prev_obj = trace[-1]
+    return f_rf, trace
 
 
 def phase_update_dense(comm_opt, sense_opt, eta, f_bb, mask, prev):

@@ -160,3 +160,21 @@ def test_main_rejects_a_work_dir_it_cannot_make(monkeypatch, tmp_path, capsys):
                           "--work-dir", str(blocker / "sub")])
     assert exc.value.code == 2
     assert "--work-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["missing/BENCH.json", "file/BENCH.json", "a_dir"])
+def test_main_rejects_an_out_it_cannot_write_before_any_run(monkeypatch, tmp_path, capsys, out):
+    # the report is written last, so a bad --out must stop the bench before its runs
+    monkeypatch.setattr(bench_pairs, "unpack", lambda *a: pytest.fail("unpacked"))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a, **k: pytest.fail("ran"))
+    (tmp_path / "file").write_text("")
+    (tmp_path / "a_dir").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "p", "--change", "c", "--seeds", "7", "1",
+                          "--out", str(tmp_path / out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].endswith(f"error: --out {tmp_path / out}: " + {
+        "missing/BENCH.json": f"no directory {tmp_path / 'missing'}",
+        "file/BENCH.json": f"no directory {tmp_path / 'file'}",
+        "a_dir": "is a directory"}[out])

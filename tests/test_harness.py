@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -459,6 +460,46 @@ def test_package_imports_neither_scipy_nor_a_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_runners_leave_numpy_ma_unimported(tmp_path):
+    # np.median imports all of numpy.ma (about 1.35 MB of peak RSS) on first
+    # use; a fresh interpreter runs each shipped config at one trial
+    code = ("import os, sys\n"
+            "from thzisac.cli import RUNNERS\n"
+            "from thzisac.config import load_config\n"
+            "configs, out = sys.argv[1:]\n"
+            "for name, run in RUNNERS.items():\n"
+            "    os.makedirs(os.path.join(out, name))\n"
+            "    cfg = os.path.join(configs, name.replace('-', '_') + '.yaml')\n"
+            "    run(load_config(cfg, {'trials': 1}), os.path.join(out, name))\n"
+            "print(sorted(os.listdir(out)), 'numpy.ma' in sys.modules)\n")
+    configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+    proc = subprocess.run([sys.executable, "-c", code, str(configs), str(tmp_path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"{sorted(RUNNERS)} False"
+
+
+@pytest.mark.parametrize("values", [
+    [3.0, 1.0, 2.0], [0.25, 4.0, 1.0 / 3.0, 2.0], [0.7], [0.1, 0.2],
+    [1.0, np.inf, 0.5], [np.inf, 2.0], [np.inf, np.inf], [0.0, np.inf, np.inf, 1.0],
+    [np.float64(0.1), 0.7, np.float64(1e-3), 0.30000000000000004],
+    [np.float64(2.0) / 3.0, np.float64(5.0) / 7.0]])
+def test_summary_median_equals_np_median_bit_for_bit(values):
+    got = experiments._median(values)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(np.median(values)).tobytes()
+
+
+def test_summary_median_equals_np_median_on_random_lists():
+    rng = np.random.default_rng(23)
+    for _ in range(2000):
+        values = list(rng.exponential(rng.choice([1e-3, 1.0, 1e3]), rng.integers(1, 13)))
+        values = [np.inf if rng.random() < 0.1 else float(v) if rng.random() < 0.5 else v
+                  for v in values]
+        assert np.float64(experiments._median(values)).tobytes() == \
+            np.float64(np.median(values)).tobytes(), values
 
 
 def test_cli_entry_point_subprocess():

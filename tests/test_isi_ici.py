@@ -14,7 +14,8 @@ from thzisac.isi_ici import (ExtendedTxPair, _coarse_scan, _half_bin_grid,
                              unaware_successive_cancellation)
 from thzisac.waveform import FrameConfig, generate_symbols, ofdm_modulate
 
-from oracles import TxBaseband, bruteforce_rx, matched_objective, tackled_objective
+from oracles import (TxBaseband, bruteforce_rx, cancel_out_of_place, matched_objective,
+                     tackled_objective)
 from test_harness import _tiny_config
 
 
@@ -652,3 +653,38 @@ def test_successive_cancellation_fits_alpha(frame, rng):
     y = alpha * apply_channel_operator(tau, nu, pair, frame)
     [(_, a_hat)] = successive_cancellation(y, pair, frame, 1)
     assert np.isclose(a_hat, alpha, atol=1e-12)
+
+
+@pytest.mark.parametrize("delta_f, max_range, max_speed, targets", [
+    # (range m, speed m/s, amplitude): the ISI demo's short-CP frame and the
+    # ICI demo's 50 m/s scenario, one weak target close behind a strong one
+    pytest.param(3840e3, 55.0, 30.0, ((10.0, 5.0, 0.3), (45.0, 5.0, 0.2)), id="isi"),
+    pytest.param(120e3, 40.0, 55.0, ((10.0, 50.0, 0.3), (20.0, 50.0, 0.2), (30.0, 50.0, 3.0)),
+                 id="ici")])
+def test_cancellation_matches_the_out_of_place_loop_bit_for_bit(delta_f, max_range, max_speed,
+                                                               targets):
+    frame = FrameConfig(1024, 16, 32, delta_f, 0.3e12)
+    rng = np.random.default_rng(4)
+    pair = ExtendedTxPair(generate_symbols(frame, 1, rng)[0], generate_symbols(frame, 1, rng)[0])
+    tau_max, nu_max = delay_of_range(max_range), doppler_of_velocity(max_speed, frame.fc)
+    y = sum(amp * np.exp(2j * np.pi * rng.random())
+            * apply_channel_operator(delay_of_range(r), doppler_of_velocity(v, frame.fc), pair,
+                                     frame) for r, v, amp in targets)
+    y = y + (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    y_before = y.copy()
+    count = len(targets)
+    cases = [(successive_cancellation(y, pair, frame, count, tau_max, nu_max),
+              lambda r: tackled_estimate(r, pair, frame, tau_max, nu_max),
+              lambda est: apply_channel_operator(est.tau_hat, est.nu_hat, pair, frame)),
+             (unaware_successive_cancellation(y, pair, frame, count, tau_max),
+              lambda r: unaware_estimate_peaks(r, pair, frame, 1, tau_max)[0],
+              lambda est: hadamard_model_vec(pair.x_curr, est.tau_hat, est.nu_hat, frame))]
+    assert np.array_equal(y, y_before)  # the subtraction runs in a copy of y
+    for got, detect, response in cases:
+        want = cancel_out_of_place(y, count, detect, response)
+        assert len(got) == len(want) == count
+        for (est, alpha), (ref, ref_alpha) in zip(got, want):
+            assert est == ref and alpha == ref_alpha
+            if isinstance(est, isi_ici.TackledEstimate):
+                for a, b in zip(est.range_profile, ref.range_profile):
+                    assert np.array_equal(a, b)

@@ -20,7 +20,7 @@ from thzisac.waveform import FrameConfig
 
 from oracles import (comm_channel_matrix, normalized_lstsq_dense, optimal_fully_digital_dense,
                      phase_update_dense, procrustes_dense, random_semi_unitary,
-                     spectral_efficiency_dense, transmit_beampattern_dense,
+                     spectral_efficiency_dense, transmit_beampattern_dense, vec_unshared,
                      weighted_objective_dense)
 
 
@@ -523,6 +523,29 @@ def test_digital_update_matches_procrustes(eta, structure, rng):
     targets, sw, f_rf, comm = _oracle_case(rng, eta, structure)
     want = procrustes_dense(comm, targets.sense_opt, eta, f_rf)
     _assert_rel(vec_digital_update(targets, f_rf), want)
+
+
+@pytest.mark.parametrize("n_closed", (4, 9, 16))  # AoSA, partial and FC on 4 chains
+@pytest.mark.parametrize("eta", (0.0, 0.4, 1.0))
+def test_vec_forms_one_rf_projection_per_analog_precoder(eta, n_closed, rng, monkeypatch):
+    # an iteration's two half-steps share each analog precoder's projections,
+    # so a design forms them once per iteration and once for its random start;
+    # the objective trace and the analog precoder are those of unshared steps
+    geom = UpaGeometry(8, 8)
+    sw = default_switch_pattern(4, n_closed, geom.n_elements // 4)
+    targets = _random_targets(rng, geom.n_elements, 4, 6, eta, dft_codebook(geom), q=3)
+    real, calls = precoding._rf_projections, []
+    monkeypatch.setattr(precoding, "_rf_projections", lambda *a: calls.append(a) or real(*a))
+    for max_iter in (50, 2):
+        want_analog, want_trace = vec_unshared(targets, sw, np.random.default_rng(5), max_iter)
+        calls.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = vec_hybrid_precoding(targets, sw, max_iter, rng=np.random.default_rng(5))
+        assert len(caught) == (not got.converged)
+        assert len(calls) == len(got.objective_trace) // 2 + 1
+        assert got.objective_trace == want_trace
+        assert np.array_equal(got.analog, want_analog)
 
 
 @pytest.mark.parametrize("structure", STRUCTURES)
