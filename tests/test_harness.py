@@ -463,7 +463,7 @@ def test_package_imports_neither_scipy_nor_a_pool():
 
 
 def test_runners_leave_numpy_ma_unimported(tmp_path):
-    # np.median imports all of numpy.ma (about 1.35 MB of peak RSS) on first
+    # np.median imports all of numpy.ma (about 1.3 MB of peak RSS) on first
     # use; a fresh interpreter runs each shipped config at one trial
     code = ("import os, sys\n"
             "from thzisac.cli import RUNNERS\n"
