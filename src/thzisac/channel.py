@@ -203,16 +203,24 @@ def resolve_coeffs(scene: SensingScene, tx_gains: np.ndarray, nt: int,
     (1/(M*Ns)) sum_m ||a_t^T(theta_p) F_RF F_BB[m]||^2, under the designed beam.
     The per-antenna received signal power is then (Nt/P)|h_p|^2 tx_gains[p], and
     |h_p| is chosen to make its ratio to the noise power hit effective_snr_db.
-    Phases are uniform. Targets with an explicit coeff keep it. Returns a new
-    scene of copied targets; the input scene is not modified.
+    Phases are uniform, drawn as _draw_coeffs draws them.
     """
     p_count = scene.n_targets
+    return _draw_coeffs(scene, lambda p, snr_lin: np.sqrt(
+        snr_lin * scene.noise_power * p_count / (nt * tx_gains[p])), rng)
+
+
+def _draw_coeffs(scene: SensingScene, magnitude, rng: np.random.Generator) -> SensingScene:
+    """A copy of scene whose unresolved target p takes magnitude(p, snr_lin) e^{j phase}.
+
+    One uniform phase per unresolved target, in target order; a target with an
+    explicit coeff keeps it and draws nothing. The input scene is not modified.
+    """
     targets = []
     for p, tgt in enumerate(scene.targets):
         coeff = tgt.coeff
         if coeff is None:
-            snr_lin = 10.0 ** (tgt.effective_snr_db / 10.0)
-            mag = np.sqrt(snr_lin * scene.noise_power * p_count / (nt * tx_gains[p]))
+            mag = magnitude(p, 10.0 ** (tgt.effective_snr_db / 10.0))
             coeff = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         targets.append(replace(tgt, coeff=coeff))
     return replace(scene, targets=targets)

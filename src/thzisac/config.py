@@ -223,6 +223,10 @@ def _leaf(kind, value, rules, here: str, problems: list):
         if rules.get("nonempty") and not value:
             problems.append(f"{here} must not be empty")
         item = typing.get_args(kind)[0]
+        # a repeated grid point would write two rows under one key
+        repeats = [v for i, v in enumerate(value) if v in value[:i]]
+        if repeats and not dataclasses.is_dataclass(item):
+            problems.append(f"{here} repeats {repeats[0]!r}")
         return [_leaf(item, v, rules, f"{here}[{i}]", problems) for i, v in enumerate(value)]
     ge, gt, le = rules.get("ge"), rules.get("gt"), rules.get("le")
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):

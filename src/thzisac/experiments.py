@@ -497,8 +497,8 @@ def selftest(verbose: bool = True) -> bool:
     feas = (np.all(pre.analog[~mask] == 0)
             and np.max(np.abs(np.abs(pre.analog[mask]) - 1.0)) < 1e-12)
     checks.append(("analog_feasibility", bool(feas)))
-    power = [abs(np.linalg.norm(pre.tx_matrix(m)) ** 2 - ns) for m in range(4)]
-    checks.append(("power_normalization", max(power) < 1e-9))
+    power = np.linalg.norm(pre.tx_matrices(), axis=(1, 2)) ** 2
+    checks.append(("power_normalization", bool(np.max(np.abs(power - ns)) < 1e-9)))
     trace = np.array(pre.objective_trace)
     checks.append(("vec_objective_monotone", bool(np.all(np.diff(trace) <= 1e-10))))
 

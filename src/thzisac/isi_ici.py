@@ -31,12 +31,12 @@ target, with beamforming gains folded in by the caller.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (SPEED_OF_LIGHT, ModelMismatchWarning, SensingScene, awgn,
+from .channel import (SPEED_OF_LIGHT, ModelMismatchWarning, SensingScene, _draw_coeffs, awgn,
                       range_of_delay, velocity_of_doppler)
 from .sensing_rx import (DelayDopplerEstimate, MlProfile, alternating_refine, doppler_bin,
                          golden_section_max, gss_refine)
@@ -165,17 +165,8 @@ def resolve_collapsed_coeffs(scene: SensingScene, rng: np.random.Generator) -> S
     """Per-sample effective SNR to coefficient, for the spatially collapsed model.
 
     Assumes unit-power transmit grid entries: |alpha|^2 = snr * noise_power.
-    Returns a new scene of copied targets; the input scene is not modified.
     """
-    targets = []
-    for tgt in scene.targets:
-        coeff = tgt.coeff
-        if coeff is None:
-            snr_lin = 10.0 ** (tgt.effective_snr_db / 10.0)
-            mag = np.sqrt(snr_lin * scene.noise_power)
-            coeff = mag * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        targets.append(replace(tgt, coeff=coeff))
-    return replace(scene, targets=targets)
+    return _draw_coeffs(scene, lambda p, snr_lin: np.sqrt(snr_lin * scene.noise_power), rng)
 
 
 def cp_limited_range(frame: FrameConfig) -> float:
@@ -584,14 +575,13 @@ def successive_cancellation(y: np.ndarray, pair: ExtendedTxPair, frame: FrameCon
 # ---------------------------------------------------------------------------
 
 def _unaware_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig, tau_max: float):
-    """The phase-ramp model's matched filter of y, and its 2D-DFT grid tiled over [0, tau_max].
+    """The phase-ramp model's matched filter of y, and its delay-bin count over [0, tau_max].
 
-    Returns (MlProfile, grid) with the grid shaped (n_bins, N) in delay steps of T/M.
+    Returns (MlProfile, n_bins), the bins in steps of T/M.
     """
     prof = MlProfile(y.reshape(frame.m_subcarriers, frame.n_symbols, order="F"), pair.x_curr,
                      frame)
-    n_bins = int(np.floor(tau_max / (frame.t_symbol / frame.m_subcarriers))) + 1
-    return prof, np.tile(prof.grid(), (int(np.ceil(n_bins / frame.m_subcarriers)), 1))[:n_bins]
+    return prof, int(np.floor(tau_max / (frame.t_symbol / frame.m_subcarriers))) + 1
 
 
 def unaware_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
@@ -603,8 +593,9 @@ def unaware_range_profile(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfi
     strong targets visible exactly where a plotted profile would show them.
     Returns (tau_bins, profile) with profile shaped (n_bins, N).
     """
-    ext = _unaware_profile(y, pair, frame, tau_max)[1]
-    return np.arange(ext.shape[0]) * (frame.t_symbol / frame.m_subcarriers), ext
+    prof, n_bins = _unaware_profile(y, pair, frame, tau_max)
+    ext = np.tile(prof.grid(), (int(np.ceil(n_bins / frame.m_subcarriers)), 1))[:n_bins]
+    return np.arange(n_bins) * (frame.t_symbol / frame.m_subcarriers), ext
 
 
 def hadamard_model_vec(x_curr: np.ndarray, tau: float, nu: float,
@@ -627,26 +618,18 @@ def unaware_successive_cancellation(y: np.ndarray, pair: ExtendedTxPair,
     and increasingly biased (with residual masking of weak targets) otherwise.
     """
     return _cancel(y, count,
-                   lambda r: unaware_estimate_peaks(r, pair, frame, 1, tau_max)[0],
+                   lambda r: unaware_estimate_peaks(r, pair, frame, tau_max),
                    lambda est: hadamard_model_vec(pair.x_curr, est.tau_hat, est.nu_hat, frame))
 
 
 def unaware_estimate_peaks(y: np.ndarray, pair: ExtendedTxPair, frame: FrameConfig,
-                           count: int, tau_max: float,
-                           exclusion_m: float = 1.0) -> list:
-    """Top-count peaks of the unaware profile with local exclusion, GSS-refined.
+                           tau_max: float) -> DelayDopplerEstimate:
+    """The top peak of the unaware profile over [0, tau_max], GSS-refined.
 
-    No model cancellation: detected peaks only mask their neighborhood, the way
-    peaks are read off a plotted range profile. Ambiguity replicas of strong
-    targets therefore survive as candidate detections.
+    One detection per cancellation pass. Tiled past one symbol, the profile
+    repeats its first M delay bins exactly, so the tiling is not built.
     """
-    prof, work = _unaware_profile(y, pair, frame, tau_max)
-    d_tau = frame.t_symbol / frame.m_subcarriers
-    excl = max(1, int(round(exclusion_m / (SPEED_OF_LIGHT * d_tau / 2.0))))
-    results = []
-    for _ in range(count):
-        m0_ext, j = np.unravel_index(int(np.argmax(work)), work.shape)
-        est = gss_refine(prof, (int(m0_ext), int(doppler_bin(j, frame.n_symbols))), frame)
-        results.append(est)
-        work[max(0, m0_ext - excl):m0_ext + excl + 1, :] = 0.0
-    return results
+    prof, n_bins = _unaware_profile(y, pair, frame, tau_max)
+    grid = prof.grid()[:n_bins]
+    m0, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
+    return gss_refine(prof, (int(m0), int(doppler_bin(j, frame.n_symbols))), frame)

@@ -43,10 +43,6 @@ class SwitchMatrix:
         return self.closed.shape[0]
 
     @property
-    def n_t(self) -> int:
-        return self.n_rf * self.k_t
-
-    @property
     def n_closed(self) -> int:
         return int(self.closed.sum())
 
@@ -99,10 +95,6 @@ class PrecoderSet:
     digital: np.ndarray
     converged: bool = True
     objective_trace: list = field(default_factory=list)
-
-    def tx_matrix(self, m: int) -> np.ndarray:
-        """Effective transmit precoder F_RF @ F_BB[m]."""
-        return self.analog @ self.digital[m]
 
     def tx_matrices(self) -> np.ndarray:
         """All effective precoders stacked (M, nt, ns), subcarrier-minor."""
@@ -250,17 +242,15 @@ def _rf_projections(targets: PrecodingTargets, f_rf: np.ndarray):
             f_rf_h @ f_rf)
 
 
-def weighted_objective(targets: PrecodingTargets, f_rf: np.ndarray,
-                       f_bb: np.ndarray, proj: tuple = None) -> float:
+def weighted_objective(targets: PrecodingTargets, proj: tuple, f_bb: np.ndarray) -> float:
     """(1/M) sum_m eta||F_c - F F_BB||^2 + (1-eta)||F_s - F F_BB||^2.
 
     Each distance is evaluated in the RF domain as ||F_c||^2 - 2 Re tr(F_c^H F
-    F_BB) + tr(F_BB^H F^H F F_BB), from the n_rf x ns projections F^H F_c and
-    F^H F_s and the n_rf x n_rf Gram matrix, so no (M, nt, ns) product is formed.
-    proj, when given, is _rf_projections(targets, f_rf), formed once by the caller.
+    F_BB) + tr(F_BB^H F^H F F_BB), from proj = _rf_projections(targets, F), the
+    projections F^H F_c and F^H F_s and the Gram F^H F: no (M, nt, ns) product.
     """
     eta, m_count = targets.eta, f_bb.shape[0]
-    p_c, p_s, gram = proj or _rf_projections(targets, f_rf)
+    p_c, p_s, gram = proj
     power = np.vdot(f_bb, gram @ f_bb).real
     cross_c = np.vdot(p_c, f_bb).real
     cross_s = np.vdot(p_s, f_bb.sum(axis=0)).real
@@ -270,24 +260,23 @@ def weighted_objective(targets: PrecodingTargets, f_rf: np.ndarray,
     return float((eta * e_c + (1.0 - eta) * e_s) / m_count)
 
 
-def vec_digital_update(targets: PrecodingTargets, f_rf: np.ndarray,
-                       proj: tuple = None) -> np.ndarray:
+def vec_digital_update(targets: PrecodingTargets, proj: tuple) -> np.ndarray:
     """Semi-unitary digital precoders from the orthogonal-Procrustes step.
 
     For each m, F_BB[m] = V1 U^H with U S V^H the SVD of G[m]^H B, where G
     stacks the sqrt-weighted targets and B the correspondingly weighted analog
-    precoder. Returns (M, n_rf, ns). proj is as in weighted_objective.
+    precoder. proj is _rf_projections(targets, F_RF). Returns (M, n_rf, ns).
     """
     eta = targets.eta
     # B^H G = eta F_RF^H F_c + (1-eta) F_RF^H F_s without forming the stacks
-    p_c, p_s, _ = proj or _rf_projections(targets, f_rf)
+    p_c, p_s, _ = proj
     ghb = (eta * p_c + (1.0 - eta) * p_s).conj().swapaxes(1, 2)
     u, _, vh = np.linalg.svd(ghb, full_matrices=False)
     return vh.conj().swapaxes(1, 2) @ u.conj().swapaxes(1, 2)
 
 
 def vec_analog_update(targets: PrecodingTargets, f_bb: np.ndarray,
-                      switch: SwitchMatrix, prev: np.ndarray = None) -> np.ndarray:
+                      switch: SwitchMatrix, prev: np.ndarray) -> np.ndarray:
     """Phase-rotation update of the analog precoder on the closed-switch support.
 
     Each nonzero entry takes the phase of the matched entry of
@@ -309,8 +298,7 @@ def vec_analog_update(targets: PrecodingTargets, f_bb: np.ndarray,
     ok = mask & (mag > 0)
     out[ok] = t[ok] / mag[ok]
     stuck = mask & (mag == 0)
-    if stuck.any():
-        out[stuck] = prev[stuck] if prev is not None else 1.0
+    out[stuck] = prev[stuck]
     return out
 
 
@@ -354,8 +342,8 @@ def finalize_digital(targets: PrecodingTargets, f_rf: np.ndarray) -> np.ndarray:
 
 
 def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
-                         max_iter: int = 50, tol: float = 1e-4,
-                         rng: np.random.Generator = None) -> PrecoderSet:
+                         max_iter: int = 50, tol: float = 1e-4, *,
+                         rng: np.random.Generator) -> PrecoderSet:
     """Alternating digital/analog minimization of the weighted distance objective.
 
     Iterates until the relative objective change drops below tol or max_iter is
@@ -363,7 +351,6 @@ def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
     least-squares solution so the transmit power constraint holds per subcarrier.
     The trace records the objective after every half-step.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
     f_rf = _random_phase_analog(switch, rng)
     proj = _rf_projections(targets, f_rf)
     trace = []
@@ -371,11 +358,11 @@ def vec_hybrid_precoding(targets: PrecodingTargets, switch: SwitchMatrix,
     converged = False
     f_bb = None
     for _ in range(max_iter):
-        f_bb = vec_digital_update(targets, f_rf, proj)
-        trace.append(weighted_objective(targets, f_rf, f_bb, proj))
-        f_rf = vec_analog_update(targets, f_bb, switch, prev=f_rf)
+        f_bb = vec_digital_update(targets, proj)
+        trace.append(weighted_objective(targets, proj, f_bb))
+        f_rf = vec_analog_update(targets, f_bb, switch, f_rf)
         proj = _rf_projections(targets, f_rf)
-        obj = weighted_objective(targets, f_rf, f_bb, proj)
+        obj = weighted_objective(targets, proj, f_bb)
         trace.append(obj)
         if prev_obj is not None and abs(prev_obj - obj) <= tol * max(abs(prev_obj), 1e-30):
             converged = True

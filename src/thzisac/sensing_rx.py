@@ -96,11 +96,8 @@ def simulate_rx(scene: SensingScene, precoders: PrecoderSet, symbols: np.ndarray
     for tgt in scene.targets:
         if tgt.coeff is None:
             raise ValueError("target coefficient unresolved; call resolve_coeffs first")
-        a_r = steering_upa(tgt.azimuth, tgt.elevation, rx_geom)
-        a_t = steering_upa(tgt.azimuth, tgt.elevation, tx_geom)
-        c_p = combiner.matrix.conj().T @ a_r
-        g_p = precoders.beam_response(a_t)
-        xi = np.einsum("ms,smn->mn", g_p, symbols)
+        c_p, xi = _angle_response(tgt.azimuth, tgt.elevation, combiner, precoders, symbols,
+                                  tx_geom, rx_geom)
         phase = np.exp(-2j * np.pi * m_idx[:, None] * frame.delta_f * tgt.delay()) \
             * np.exp(2j * np.pi * t_sym[None, :] * tgt.doppler(frame.fc))
         y3 += scale * tgt.coeff * c_p[:, None, None] * (phase * xi)[None]
@@ -227,11 +224,16 @@ def reconstruct_reference(theta: float, phi: float, combiner: ReceiveCombiner,
     Returns (n_rf, M, N); the matched-filter template for a target at the
     estimated angle, with delay/Doppler phases left to the search.
     """
-    a_r = steering_upa(theta, phi, rx_geom)
-    a_t = steering_upa(theta, phi, tx_geom)
-    c = combiner.matrix.conj().T @ a_r
-    xi = np.einsum("ms,smn->mn", precoders.beam_response(a_t), symbols)
+    c, xi = _angle_response(theta, phi, combiner, precoders, symbols, tx_geom, rx_geom)
     return c[:, None, None] * xi[None]
+
+
+def _angle_response(theta: float, phi: float, combiner: ReceiveCombiner, precoders: PrecoderSet,
+                    symbols: np.ndarray, tx_geom: UpaGeometry, rx_geom: UpaGeometry) -> tuple:
+    """W^H a_r (n_rf,) and a_t^T F_RF F_BB[m] s[m,n] (M, N) toward one direction."""
+    return (combiner.matrix.conj().T @ steering_upa(theta, phi, rx_geom),
+            np.einsum("ms,smn->mn", precoders.beam_response(steering_upa(theta, phi, tx_geom)),
+                      symbols))
 
 
 class MlProfile:

@@ -6,7 +6,7 @@ modulate/demodulate pair is an exact inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,10 @@ class FrameConfig:
     q_slots: int
     delta_f: float
     fc: float
-    m_cp: int = field(default=-1)
+    m_cp: int = None
 
     def __post_init__(self):
-        if self.m_cp < 0:
+        if self.m_cp is None:
             object.__setattr__(self, "m_cp", self.m_subcarriers // 4)
         if self.m_subcarriers < 1 or self.n_symbols < 1 or self.q_slots < 1:
             raise ValueError("frame dimensions must be positive")

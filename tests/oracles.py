@@ -12,8 +12,8 @@ import numpy as np
 from thzisac.channel import ModelMismatchWarning, check_isi_ici_free
 from thzisac.geometry import steering_many, steering_upa
 from thzisac.isi_ici import FlatObjectiveError, apply_channel_operator
-from thzisac.precoding import (_random_phase_analog, vec_analog_update, vec_digital_update,
-                               weighted_objective)
+from thzisac.precoding import (_random_phase_analog, _rf_projections, vec_analog_update,
+                               vec_digital_update, weighted_objective)
 from thzisac.waveform import FrameConfig
 
 
@@ -266,16 +266,16 @@ def vec_unshared(targets, switch, rng, max_iter=50, tol=1e-4):
     """vec_hybrid_precoding's loop with each half-step forming its own RF projections.
 
     Returns (final analog precoder, objective trace). vec_digital_update and
-    weighted_objective are called without shared projections, so each forms
-    F_RF^H F_c, F_RF^H F_s and the Gram itself: three projections per iteration.
+    each weighted_objective get projections formed for them alone, F_RF^H F_c,
+    F_RF^H F_s and the Gram: three projections per iteration.
     """
     f_rf = _random_phase_analog(switch, rng)
     trace, prev_obj = [], None
     for _ in range(max_iter):
-        f_bb = vec_digital_update(targets, f_rf)
-        trace.append(weighted_objective(targets, f_rf, f_bb))
+        f_bb = vec_digital_update(targets, _rf_projections(targets, f_rf))
+        trace.append(weighted_objective(targets, _rf_projections(targets, f_rf), f_bb))
         f_rf = vec_analog_update(targets, f_bb, switch, prev=f_rf)
-        trace.append(weighted_objective(targets, f_rf, f_bb))
+        trace.append(weighted_objective(targets, _rf_projections(targets, f_rf), f_bb))
         if prev_obj is not None and abs(prev_obj - trace[-1]) <= tol * max(abs(prev_obj), 1e-30):
             break
         prev_obj = trace[-1]

@@ -6,6 +6,7 @@ from thzisac.channel import (SPEED_OF_LIGHT, CommChannel, CommPath,
                              awgn, delay_of_range, doppler_of_velocity,
                              resolve_coeffs, sample_comm_channel)
 from thzisac.geometry import UpaGeometry, steering_upa
+from thzisac.isi_ici import resolve_collapsed_coeffs
 from thzisac.waveform import FrameConfig
 
 from oracles import comm_channel_apply, comm_channel_matrix, sensing_channel
@@ -155,6 +156,25 @@ def test_resolve_coeffs_leaves_input_scene_unchanged(rng):
     assert resolved is not scene and resolved.noise_power == 2.0
     assert all(a is not b for a, b in zip(resolved.targets, scene.targets))
     assert resolved.targets[0].coeff == 0.5j and resolved.targets[1].coeff is not None
+
+
+
+@pytest.mark.parametrize("resolve", [
+    lambda scene, rng: resolve_coeffs(scene, np.array([0.5, 2.0, 0.25]), 64, rng),
+    resolve_collapsed_coeffs], ids=["resolve_coeffs", "resolve_collapsed_coeffs"])
+def test_coefficient_resolvers_draw_one_phase_per_unresolved_target(resolve):
+    # in target order, one uniform phase each for the first and third target,
+    # none for the second, whose coefficient is given
+    targets = [SensingTarget(range_m=r, velocity_mps=0.0, azimuth=0.0, **kw) for r, kw in
+               ((3.0, {"effective_snr_db": -10.0}), (4.0, {"coeff": 0.3 - 0.1j}),
+                (5.0, {"effective_snr_db": 5.0}))]
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    got = resolve(SensingScene(targets, noise_power=2.0), rng).targets
+    phases = [ref.uniform(0.0, 2.0 * np.pi) for _ in range(2)]
+    assert got[1].coeff == 0.3 - 0.1j
+    np.testing.assert_allclose(np.angle([got[0].coeff, got[2].coeff]) % (2.0 * np.pi), phases,
+                               rtol=1e-12)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_target_validation():

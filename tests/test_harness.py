@@ -388,6 +388,22 @@ def _config_error_line(capsys) -> str:
     return lines[0]
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("mc-rmse", "mc_rmse:\n  snr_grid_db: [0.0, 0.0]\n", "mc_rmse.snr_grid_db repeats 0.0"),
+    ("tradeoff", "tradeoff:\n  eta_grid: [1, 0.5, 1.0]\n", "tradeoff.eta_grid repeats 1.0"),
+    ("tradeoff", "tradeoff:\n  algorithms: [vec, sca, vec]\n",
+     "tradeoff.algorithms repeats 'vec'"),
+    ("beam-scan", "beam_scan:\n  slots: [3, 4, 3]\n", "beam_scan.slots repeats 3")])
+def test_cli_repeated_list_entry_exit_two(command, text, message, tmp_path, capsys):
+    # a repeated grid point would write two rows under one key
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", str(bad), "--out", str(out), "--trials", "1"]) == 2
+    assert _config_error_line(capsys) == f"config error: {message}"
+    assert not out.exists()
+
+
 def test_cli_malformed_yaml_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("frame: {m_subcarriers: [\n")
@@ -462,23 +478,66 @@ def test_package_imports_neither_scipy_nor_a_pool():
     assert proc.stdout.strip() == "[]"
 
 
+# thzisac functions and methods that the six runners and selftest never
+# enter, each with the reason it stays
+UNREACHED = {
+    "precoding.optimal_fully_digital": "perfbench wraps it",
+    "isi_ici.tackled_range_profile": "perfbench wraps it",
+    "precoding.spectral_efficiency": "the acceptance criteria call it",
+    "channel.check_isi_ici_free": "simulate_rx calls it by default",
+    # the Doppler line of a profile that is a plain callable: perfbench's
+    # evaluation counter hands gss_refine one
+    "sensing_rx.gss_refine.<locals>.<lambda>": "perfbench's profile counter",
+    "sensing_rx.gss_refine.<locals>.<lambda>.<locals>.<lambda>": "perfbench's profile counter",
+}
+
+
 def test_runners_leave_numpy_ma_unimported(tmp_path):
     # np.median imports all of numpy.ma (about 1.3 MB of peak RSS) on first
-    # use; a fresh interpreter runs each shipped config at one trial
-    code = ("import os, sys\n"
-            "from thzisac.cli import RUNNERS\n"
-            "from thzisac.config import load_config\n"
+    # use. A fresh interpreter, profiled from before thzisac is imported, runs
+    # each shipped config at one trial through the CLI, then selftest, and
+    # lists every function and method of thzisac that was never entered
+    code = ("import contextlib, io, os, sys, types\n"
+            "entered = set()\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'call':\n"
+            "        entered.add(frame.f_code)\n"
+            "sys.setprofile(profile)\n"
+            "from thzisac.cli import RUNNERS, main\n"
             "configs, out = sys.argv[1:]\n"
-            "for name, run in RUNNERS.items():\n"
-            "    os.makedirs(os.path.join(out, name))\n"
-            "    cfg = os.path.join(configs, name.replace('-', '_') + '.yaml')\n"
-            "    run(load_config(cfg, {'trials': 1}), os.path.join(out, name))\n"
-            "print(sorted(os.listdir(out)), 'numpy.ma' in sys.modules)\n")
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for name in RUNNERS:\n"
+            "        cfg = os.path.join(configs, name.replace('-', '_') + '.yaml')\n"
+            "        assert main([name, '--config', cfg, '--trials', '1',\n"
+            "                     '--out', os.path.join(out, name)]) == 0\n"
+            "    assert main(['selftest']) == 0\n"
+            "sys.setprofile(None)\n"
+            "seen = {(c.co_filename, c.co_firstlineno, c.co_qualname) for c in entered}\n"
+            "def codes(code):\n"
+            "    yield code\n"
+            "    for c in code.co_consts:\n"
+            "        if isinstance(c, types.CodeType):\n"
+            "            yield from codes(c)\n"
+            "# a module body and its comprehensions are not functions of their own\n"
+            "skip = ('<module>', '<listcomp>', '<genexpr>', '<dictcomp>', '<setcomp>')\n"
+            "never = []\n"
+            "for name, mod in sorted(sys.modules.items()):\n"
+            "    if name.startswith('thzisac.'):\n"
+            "        path = mod.__file__\n"
+            "        with open(path) as f:\n"
+            "            top = compile(f.read(), path, 'exec')\n"
+            "        never += [name[8:] + '.' + c.co_qualname for c in codes(top)\n"
+            "                  if c.co_name not in skip\n"
+            "                  and (path, c.co_firstlineno, c.co_qualname) not in seen]\n"
+            "print(sorted(os.listdir(out)), 'numpy.ma' in sys.modules)\n"
+            "print(sorted(never))\n")
     configs = Path(__file__).resolve().parents[1] / "scripts" / "configs"
     proc = subprocess.run([sys.executable, "-c", code, str(configs), str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"{sorted(RUNNERS)} False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"{sorted(RUNNERS)} False"
+    assert lines[1] == str(sorted(UNREACHED))
 
 
 @pytest.mark.parametrize("values", [

@@ -11,7 +11,7 @@ from thzisac.isi_ici import (ExtendedTxPair, _coarse_scan, _half_bin_grid,
                              hadamard_model_vec, isi_ici_rx,
                              resolve_collapsed_coeffs, successive_cancellation,
                              tackled_estimate, unaware_estimate_peaks,
-                             unaware_successive_cancellation)
+                             unaware_range_profile, unaware_successive_cancellation)
 from thzisac.waveform import FrameConfig, generate_symbols, ofdm_modulate
 
 from oracles import (TxBaseband, bruteforce_rx, cancel_out_of_place, matched_objective,
@@ -544,7 +544,7 @@ def test_tackled_agrees_with_unaware_when_models_coincide(frame, rng):
     assert tau <= frame.t_cp
     y = apply_channel_operator(tau, 0.0, pair, frame)
     est_t = tackled_estimate(y, pair, frame, tau_max=frame.t_cp)
-    est_u = unaware_estimate_peaks(y, pair, frame, 1, tau_max=frame.t_cp)[0]
+    est_u = unaware_estimate_peaks(y, pair, frame, tau_max=frame.t_cp)
     d_tau = frame.t_symbol / 32
     assert abs(est_t.tau_hat - est_u.tau_hat) < 1e-6 * d_tau
 
@@ -615,16 +615,22 @@ def test_demo_runner_takes_the_tackled_profile_from_the_first_pass(monkeypatch, 
 
 
 def test_unaware_alias_replica(frame, rng):
-    # a target inside the CP shows a replica one delay-ambiguity later
+    # a target inside the CP shows a replica one delay-ambiguity later: the
+    # tiled profile peaks at tau and again at tau + T with equal height, and
+    # the detector refines the first of the two
     pair = _random_pair(frame, rng)
-    tau = 0.5 * frame.t_cp
+    m0 = 4
+    tau = m0 * frame.t_symbol / 32
+    assert tau <= frame.t_cp
     y = apply_channel_operator(tau, 0.0, pair, frame)
-    ests = unaware_estimate_peaks(y, pair, frame, 2,
-                                  tau_max=tau + 1.2 * frame.t_symbol,
-                                  exclusion_m=1.0)
-    taus = sorted(e.tau_hat for e in ests)
-    assert abs(taus[0] - tau) < 1e-6
-    assert abs(taus[1] - (tau + frame.t_symbol)) < 1e-6
+    tau_max = tau + 1.2 * frame.t_symbol
+    taus, prof = unaware_range_profile(y, pair, frame, tau_max)
+    assert taus.size == prof.shape[0] == int(tau_max / (frame.t_symbol / 32)) + 1
+    assert np.isclose(taus[m0], tau) and np.isclose(taus[m0 + 32], tau + frame.t_symbol)
+    peak = prof.max(axis=1)
+    assert np.flatnonzero(peak == peak.max()).tolist() == [m0, m0 + 32]
+    assert np.array_equal(prof[m0 + 32], prof[m0])
+    assert abs(unaware_estimate_peaks(y, pair, frame, tau_max).tau_hat - tau) < 1e-6
 
 
 def test_unaware_sic_matches_truth_when_model_holds(frame, rng):
@@ -677,7 +683,7 @@ def test_cancellation_matches_the_out_of_place_loop_bit_for_bit(delta_f, max_ran
               lambda r: tackled_estimate(r, pair, frame, tau_max, nu_max),
               lambda est: apply_channel_operator(est.tau_hat, est.nu_hat, pair, frame)),
              (unaware_successive_cancellation(y, pair, frame, count, tau_max),
-              lambda r: unaware_estimate_peaks(r, pair, frame, 1, tau_max)[0],
+              lambda r: unaware_estimate_peaks(r, pair, frame, tau_max),
               lambda est: hadamard_model_vec(pair.x_curr, est.tau_hat, est.nu_hat, frame))]
     assert np.array_equal(y, y_before)  # the subtraction runs in a copy of y
     for got, detect, response in cases:

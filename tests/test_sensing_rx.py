@@ -126,7 +126,7 @@ def test_simulate_rx_matches_dense_channel(geom, frame, rng):
                         check_model=False)
     for (m, n) in ((0, 0), (3, 5), (31, 7)):
         h = sensing_channel(scene, m, n, 2, frame, geom, geom, check_model=False)
-        want = comb.matrix.conj().T @ h @ pre.tx_matrix(m) @ sym[:, m, n]
+        want = comb.matrix.conj().T @ h @ pre.tx_matrices()[m] @ sym[:, m, n]
         np.testing.assert_allclose(block.y[:, m, n], want, atol=1e-10)
 
 
@@ -309,10 +309,11 @@ def test_each_estimate_builds_one_profile(monkeypatch, geom, frame, rng):
     pair = isi_ici.ExtendedTxPair(generate_symbols(frame, 1, rng)[0],
                                   generate_symbols(frame, 1, rng)[0])
     y = rng.standard_normal(32 * 8) + 1j * rng.standard_normal(32 * 8)
-    for count in (1, 2):
+    for passes in (1, 2):
         built.clear()
-        assert len(isi_ici.unaware_estimate_peaks(y, pair, frame, count, frame.t_cp)) == count
-        assert len(built) == 1
+        assert len(isi_ici.unaware_successive_cancellation(y, pair, frame, passes,
+                                                           frame.t_cp)) == passes
+        assert len(built) == passes
 
 
 def test_mc_rmse_builds_music_grid_once_per_slot(monkeypatch, tmp_path):

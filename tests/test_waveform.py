@@ -29,6 +29,15 @@ def test_frame_validation():
         FrameConfig(64, 16, 32, 1e6, 1e12, m_cp=65)
 
 
+def test_negative_cp_is_rejected_not_defaulted():
+    # only an omitted m_cp means M/4; a negative one is an error
+    assert FrameConfig(64, 16, 32, 1e6, 1e12).m_cp == 16
+    assert FrameConfig(64, 16, 32, 1e6, 1e12, m_cp=0).m_cp == 0
+    for m_cp in (-1, -5):
+        with pytest.raises(ValueError, match=f"cp size {m_cp} outside"):
+            FrameConfig(64, 16, 32, 1e6, 1e12, m_cp=m_cp)
+
+
 def test_qpsk_alphabet(frame, rng):
     ns = 4
     sym = generate_symbols(frame, ns, rng)
